@@ -202,33 +202,20 @@ def _check_order(order: Sequence[str], km: KillMatrix) -> list[int]:
     return [index[m] for m in order]
 
 
-def first_kill_positions(order: Sequence[str], km: KillMatrix) -> dict[str, int | None]:
-    """1-based position of the first killer per mutant, None when never killed."""
-    rows = _check_order(order, km)
-    positions: dict[str, int | None] = {}
-    for j, mutant in enumerate(km.mutant_ids):
-        positions[mutant] = None
-        for position, row in enumerate(rows, start=1):
-            if km.kills[row, j]:
-                positions[mutant] = position
-                break
-    return positions
+def _one_pass(order: Sequence[str], km: KillMatrix) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Check *order* once; return its kill-matrix rows, detection matrix and
+    first-kill positions.
 
-
-def _detection_matrix(order: Sequence[str], km: KillMatrix) -> np.ndarray:
-    """Row m-1, column j: 1.0 when mutant j is killed by the first m MRs."""
-    rows = _check_order(order, km)
-    cumulative = np.cumsum(km.kills[rows].astype(int), axis=0) > 0
-    return cumulative.astype(float)
-
-
-def detection_curve(order: Sequence[str], km: KillMatrix) -> FaultDetectionCurve:
-    """Percentage of killable mutants exposed by each ordering prefix.
-
-    With no killable mutants the curve is flat 100: every prefix kills all of
-    an empty set.
+    Detection row m-1, column j is 1.0 when mutant j is killed by the first m
+    MRs.  Positions are 1-based per mutant, 0 when it is never killed.
     """
-    detection = _detection_matrix(order, km)
+    rows = _check_order(order, km)
+    killed = np.cumsum(km.kills[rows].astype(int), axis=0) > 0
+    first = np.where(killed[-1], killed.argmax(axis=0) + 1, 0)
+    return rows, killed.astype(float), first
+
+
+def _curve(detection: np.ndarray, km: KillMatrix) -> FaultDetectionCurve:
     killable = km.killable_mask
     n_killable = int(killable.sum())
     if n_killable == 0:
@@ -237,27 +224,50 @@ def detection_curve(order: Sequence[str], km: KillMatrix) -> FaultDetectionCurve
     return FaultDetectionCurve(tuple(float(100.0 * k / n_killable) for k in killed))
 
 
-def apfd(order: Sequence[str], km: KillMatrix) -> float:
-    """Average percentage of faults detected, over killable mutants only."""
-    positions = first_kill_positions(order, km)
-    found = [p for p in positions.values() if p is not None]
-    if not found:
+def _apfd(first: np.ndarray, km: KillMatrix) -> float:
+    found = first[first > 0]
+    if not found.size:
         raise ApplicabilityError("APFD is undefined: no killable mutants")
     n = len(km.mr_ids)
-    m = len(found)
-    return 1.0 - sum(found) / (n * m) + 1.0 / (2 * n)
+    return 1.0 - int(found.sum()) / (n * found.size) + 1.0 / (2 * n)
+
+
+def _time_to_fault(rows: list[int], first: np.ndarray, km: KillMatrix) -> float:
+    found = first[first > 0]
+    if not found.size:
+        raise ApplicabilityError("time to fault is undefined: no killable mutants")
+    cumulative = np.cumsum(km.exec_time[rows])
+    return float(np.mean(cumulative[found - 1]))
+
+
+def _positions(first: np.ndarray, km: KillMatrix) -> dict[str, int | None]:
+    return {m: int(p) if p else None for m, p in zip(km.mutant_ids, first)}
+
+
+def first_kill_positions(order: Sequence[str], km: KillMatrix) -> dict[str, int | None]:
+    """1-based position of the first killer per mutant, None when never killed."""
+    return _positions(_one_pass(order, km)[2], km)
+
+
+def detection_curve(order: Sequence[str], km: KillMatrix) -> FaultDetectionCurve:
+    """Percentage of killable mutants exposed by each ordering prefix.
+
+    With no killable mutants the curve is flat 100: every prefix kills all of
+    an empty set.
+    """
+    return _curve(_one_pass(order, km)[1], km)
+
+
+def apfd(order: Sequence[str], km: KillMatrix) -> float:
+    """Average percentage of faults detected, over killable mutants only."""
+    return _apfd(_one_pass(order, km)[2], km)
 
 
 def avg_time_to_fault(order: Sequence[str], km: KillMatrix) -> float:
     """Mean, over killable mutants, of the execution time spent up to and
     including the first MR that kills each one."""
-    rows = _check_order(order, km)
-    cumulative = np.cumsum(km.exec_time[rows])
-    positions = first_kill_positions(order, km)
-    spent = [cumulative[p - 1] for p in positions.values() if p is not None]
-    if not spent:
-        raise ApplicabilityError("time to fault is undefined: no killable mutants")
-    return float(np.mean(spent))
+    rows, _, first = _one_pass(order, km)
+    return _time_to_fault(rows, first, km)
 
 
 def effective_set_size(curve: FaultDetectionCurve, threshold: float) -> int:
@@ -335,20 +345,21 @@ def evaluate_ordering(
     km: KillMatrix,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
-    curve = detection_curve(order, km)
+    rows, detection, first = _one_pass(order, km)
+    curve = _curve(detection, km)
     return EvalReport(
         kind="single",
         ordering=tuple(order),
         curve=curve,
-        apfd=apfd(order, km),
+        apfd=_apfd(first, km),
         effective_sizes=tuple(
             (float(t), effective_set_size(curve, t)) for t in thresholds
         ),
-        avg_time_to_fault=avg_time_to_fault(order, km),
+        avg_time_to_fault=_time_to_fault(rows, first, km),
         mutant_ids=km.mutant_ids,
         unkillable=km.unkillable_ids,
-        detection=_detection_matrix(order, km),
-        first_positions=first_kill_positions(order, km),
+        detection=detection,
+        first_positions=_positions(first, km),
     )
 
 
@@ -390,10 +401,11 @@ def random_baseline(
     apfd_values = []
     time_values = []
     for order in orders:
-        curve_sum += np.array(detection_curve(order, km).points)
-        detection_sum += _detection_matrix(order, km)
-        apfd_values.append(apfd(order, km))
-        time_values.append(avg_time_to_fault(order, km))
+        rows, detection, first = _one_pass(order, km)
+        curve_sum += np.array(_curve(detection, km).points)
+        detection_sum += detection
+        apfd_values.append(_apfd(first, km))
+        time_values.append(_time_to_fault(rows, first, km))
 
     count = len(orders)
     mean_curve = FaultDetectionCurve(tuple(float(p) for p in curve_sum / count))

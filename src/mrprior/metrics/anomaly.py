@@ -46,65 +46,55 @@ def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> 
     deltas = x[:, None, :] - x[None, :, :]
     distances = np.sqrt((deltas**2).sum(axis=-1))
     np.fill_diagonal(distances, np.inf)
-    scores = np.sort(distances, axis=1)[:, k - 1]
+    # an owned copy: a view would keep the whole sorted n x n matrix alive
+    scores = np.sort(distances, axis=1)[:, k - 1].copy()
 
     n_flag = min(round_half_up(contamination * n), n - 1)
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     flagged = tuple(sorted(order[:n_flag]))
 
-    if n_flag:
-        floor = min(scores[i] for i in flagged)
-        if any(scores[i] > floor for i in range(n) if i not in set(flagged)):
-            raise InvariantError("an unflagged row outscores a flagged one")
+    if n_flag and np.delete(scores, flagged).max() > scores[list(flagged)].min():
+        raise InvariantError("an unflagged row outscores a flagged one")
 
     return OutlierReport(flagged, scores, k, contamination)
 
 
-def _matched_pairs(
-    raw_s: np.ndarray, flagged_s: tuple[int, ...],
-    raw_f: np.ndarray, flagged_f: tuple[int, ...],
-) -> list[tuple[int, int]]:
-    """Greedy one-to-one matching of identical raw feature vectors by index."""
-    matches: list[tuple[int, int]] = []
-    free = list(flagged_f)
-    for i in flagged_s:
-        for pos, j in enumerate(free):
-            if raw_s[i].shape == raw_f[j].shape and np.array_equal(raw_s[i], raw_f[j]):
-                matches.append((i, j))
-                del free[pos]
-                break
-    return matches
+@dataclass(frozen=True)
+class AnomalySummary:
+    report: OutlierReport
+    feature_names: tuple[str, ...]   # numeric attribute names, sorted
+    raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
 
 
-def anomaly_diversity(
-    source: Dataset,
-    followup: Dataset,
-    k: int = 5,
-    contamination: float = 0.05,
-    standardize: bool = True,
-) -> tuple[float, dict]:
+def anomaly_summary(
+    dataset: Dataset, k: int = 5, contamination: float = 0.05, standardize: bool = True
+) -> AnomalySummary:
+    report = knn_outliers(
+        numeric_view(dataset, standardize=standardize), k=k, contamination=contamination
+    )
+    raw = numeric_view(dataset, standardize=False)
+    order = np.argsort(np.array(raw.feature_names))
+    return AnomalySummary(report, tuple(sorted(raw.feature_names)), raw.matrix[:, order])
+
+
+def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:
     """Absolute difference of surviving outlier counts between the sides.
 
     Outliers whose raw (unstandardized, imputed) feature vectors are exactly
-    identical across the two sides are discarded pairwise before counting;
-    vectors are aligned by attribute name and never matched when the two
-    sides expose different numeric attributes.
+    identical across the two sides are discarded pairwise before counting:
+    each source outlier, in index order, takes the lowest-index unmatched
+    identical follow-up outlier.  Vectors are aligned by attribute name and
+    never matched when the two sides expose different numeric attributes.
     """
-    view_s = numeric_view(source, standardize=standardize)
-    view_f = numeric_view(followup, standardize=standardize)
-    report_s = knn_outliers(view_s, k=k, contamination=contamination)
-    report_f = knn_outliers(view_f, k=k, contamination=contamination)
-
-    raw_s = numeric_view(source, standardize=False).matrix
-    raw_f = numeric_view(followup, standardize=False).matrix
-    if sorted(view_s.feature_names) == sorted(view_f.feature_names):
-        order_s = np.argsort(np.array(view_s.feature_names))
-        order_f = np.argsort(np.array(view_f.feature_names))
-        matches = _matched_pairs(
-            raw_s[:, order_s], report_s.indices, raw_f[:, order_f], report_f.indices
-        )
-    else:
-        matches = []
+    report_s, report_f = source.report, followup.report
+    matches: list[tuple[int, int]] = []
+    if source.feature_names == followup.feature_names:
+        free = list(report_f.indices)
+        for i in report_s.indices:
+            j = next((j for j in free if np.array_equal(source.raw[i], followup.raw[j])), None)
+            if j is not None:
+                matches.append((i, j))
+                free.remove(j)
 
     surviving_s = len(report_s.indices) - len(matches)
     surviving_f = len(report_f.indices) - len(matches)
@@ -117,3 +107,16 @@ def anomaly_diversity(
         "surviving_followup": surviving_f,
     }
     return raw, diagnostics
+
+
+def anomaly_diversity(
+    source: Dataset,
+    followup: Dataset,
+    k: int = 5,
+    contamination: float = 0.05,
+    standardize: bool = True,
+) -> tuple[float, dict]:
+    return compare_outliers(
+        anomaly_summary(source, k, contamination, standardize),
+        anomaly_summary(followup, k, contamination, standardize),
+    )

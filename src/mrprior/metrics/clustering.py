@@ -126,6 +126,20 @@ def kmeans_summary(
     )
 
 
+def compare_clusters(source: ClusterSummary, followup: ClusterSummary) -> tuple[float, dict]:
+    """Absolute difference of (between_total + size_total + within_avg)."""
+    total_s = source.between_total + source.size_total + source.within_avg
+    total_f = followup.between_total + followup.size_total + followup.within_avg
+    raw = abs(total_s - total_f)
+    diagnostics = {
+        "source": source.to_dict(),
+        "followup": followup.to_dict(),
+        "source_total": total_s,
+        "followup_total": total_f,
+    }
+    return raw, diagnostics
+
+
 def clustering_diversity(
     source: Dataset,
     followup: Dataset,
@@ -134,16 +148,7 @@ def clustering_diversity(
     max_iters: int = 100,
     standardize: bool = True,
 ) -> tuple[float, dict]:
-    """Absolute difference of (between_total + size_total + within_avg)."""
-    summary_s = kmeans_summary(numeric_view(source, standardize), k, seed, max_iters)
-    summary_f = kmeans_summary(numeric_view(followup, standardize), k, seed, max_iters)
-    total_s = summary_s.between_total + summary_s.size_total + summary_s.within_avg
-    total_f = summary_f.between_total + summary_f.size_total + summary_f.within_avg
-    raw = abs(total_s - total_f)
-    diagnostics = {
-        "source": summary_s.to_dict(),
-        "followup": summary_f.to_dict(),
-        "source_total": total_s,
-        "followup_total": total_f,
-    }
-    return raw, diagnostics
+    return compare_clusters(
+        kmeans_summary(numeric_view(source, standardize), k, seed, max_iters),
+        kmeans_summary(numeric_view(followup, standardize), k, seed, max_iters),
+    )

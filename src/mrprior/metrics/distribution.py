@@ -55,6 +55,9 @@ class DistributionSummary:
 
 
 def _column_stats(name: str, values: np.ndarray) -> AttributeStats:
+    # summing in sorted order keeps the statistics bit-identical under any
+    # row permutation of the dataset
+    values = np.sort(values)
     n = values.size
     if n == 0:
         return AttributeStats(name, 0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
@@ -90,17 +93,21 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
     return DistributionSummary(tuple(stats), shape_total, spread_total)
 
 
-def distribution_diversity(source: Dataset, followup: Dataset) -> tuple[float, dict]:
+def compare_distributions(
+    source: DistributionSummary, followup: DistributionSummary
+) -> tuple[float, dict]:
     """Absolute difference of (shape_total + spread_total) between the sides."""
-    summary_s = dist_summary(source)
-    summary_f = dist_summary(followup)
-    total_s = summary_s.shape_total + summary_s.spread_total
-    total_f = summary_f.shape_total + summary_f.spread_total
+    total_s = source.shape_total + source.spread_total
+    total_f = followup.shape_total + followup.spread_total
     raw = abs(total_s - total_f)
     diagnostics = {
-        "source": summary_s.to_dict(),
-        "followup": summary_f.to_dict(),
+        "source": source.to_dict(),
+        "followup": followup.to_dict(),
         "source_total": total_s,
         "followup_total": total_f,
     }
     return raw, diagnostics
+
+
+def distribution_diversity(source: Dataset, followup: Dataset) -> tuple[float, dict]:
+    return compare_distributions(dist_summary(source), dist_summary(followup))

@@ -256,55 +256,25 @@ def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
     return RuleSet(tuple(rules), class_attr.values[default_code])
 
 
-def classify(dataset: Dataset, ruleset: RuleSet) -> list[str]:
-    """First-match predictions per row, defaulting when no rule fires."""
-    columns = _impute_columns(dataset)
-    names = [a.name for a in dataset.attributes]
-    nominal_codes = {
-        a.name: {v: i for i, v in enumerate(a.values)}
-        for a in dataset.attributes
-        if not a.is_numeric
-    }
-    predictions = []
-    for r in range(dataset.n_rows):
-        label = ruleset.default_class
-        for rule in ruleset.rules:
-            hit = True
-            for cond in rule.conditions:
-                j = names.index(cond.attribute)
-                cell = columns[j][r]
-                if cond.operator == OP_EQ:
-                    hit = cell == nominal_codes[cond.attribute][cond.value]
-                elif cond.operator == OP_LE:
-                    hit = cell <= cond.value
-                else:
-                    hit = cell > cond.value
-                if not hit:
-                    break
-            if hit:
-                label = rule.predicted_class
-                break
-        predictions.append(label)
-    return predictions
-
-
-def rule_diversity(
-    source: Dataset, followup: Dataset, params: Cn2Params | None = None
-) -> tuple[float, dict]:
+def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:
     """Absolute difference of rule counts after discarding shared rules."""
-    ruleset_s = cn2_induce(source, params)
-    ruleset_f = cn2_induce(followup, params)
-    ids_s = {r.identity() for r in ruleset_s.rules}
-    ids_f = {r.identity() for r in ruleset_f.rules}
+    ids_s = {r.identity() for r in source.rules}
+    ids_f = {r.identity() for r in followup.rules}
     shared = ids_s & ids_f
-    surviving_s = [r for r in ruleset_s.rules if r.identity() not in shared]
-    surviving_f = [r for r in ruleset_f.rules if r.identity() not in shared]
+    surviving_s = [r for r in source.rules if r.identity() not in shared]
+    surviving_f = [r for r in followup.rules if r.identity() not in shared]
     raw = float(abs(len(surviving_s) - len(surviving_f)))
     diagnostics = {
-        "source": ruleset_s.to_dict(),
-        "followup": ruleset_f.to_dict(),
+        "source": source.to_dict(),
+        "followup": followup.to_dict(),
         "shared_rules": len(shared),
         "surviving_source": len(surviving_s),
         "surviving_followup": len(surviving_f),
     }
     return raw, diagnostics
+
+
+def rule_diversity(
+    source: Dataset, followup: Dataset, params: Cn2Params | None = None
+) -> tuple[float, dict]:
+    return compare_rules(cn2_induce(source, params), cn2_induce(followup, params))

@@ -84,6 +84,13 @@ class TestKnnOutliers:
             floor = min(report.scores[i] for i in flagged)
             assert all(report.scores[i] <= floor for i in range(30) if i not in flagged)
 
+    def test_scores_own_their_data(self):
+        # a view into the sorted distance matrix would keep all n x n of it alive
+        d = make_dataset({"x": [float(i) for i in range(12)]})
+        report = knn_outliers(numeric_view(d), k=3, contamination=0.1)
+        assert report.scores.flags.owndata
+        assert report.scores.base is None
+
     def test_needs_more_rows_than_k(self):
         d = make_dataset({"x": [1.0, 2.0, 3.0]})
         with pytest.raises(ApplicabilityError):

@@ -7,8 +7,10 @@ from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import Attribute, Dataset
 from mrprior.errors import ApplicabilityError
 from mrprior.metrics.rules import (
+    OP_EQ,
+    OP_LE,
     Cn2Params,
-    classify,
+    _impute_columns,
     cn2_induce,
     rule_diversity,
 )
@@ -16,6 +18,37 @@ from mrprior.metrics.rules import (
 from conftest import make_dataset, random_dataset
 
 LAPLACE_10_OF_10 = 11.0 / 12.0
+
+
+def classify(dataset, ruleset):
+    """First-match predictions per row, defaulting when no rule fires."""
+    columns = _impute_columns(dataset)
+    names = [a.name for a in dataset.attributes]
+    nominal_codes = {
+        a.name: {v: i for i, v in enumerate(a.values)}
+        for a in dataset.attributes
+        if not a.is_numeric
+    }
+    predictions = []
+    for r in range(dataset.n_rows):
+        label = ruleset.default_class
+        for rule in ruleset.rules:
+            hit = True
+            for cond in rule.conditions:
+                cell = columns[names.index(cond.attribute)][r]
+                if cond.operator == OP_EQ:
+                    hit = cell == nominal_codes[cond.attribute][cond.value]
+                elif cond.operator == OP_LE:
+                    hit = cell <= cond.value
+                else:
+                    hit = cell > cond.value
+                if not hit:
+                    break
+            if hit:
+                label = rule.predicted_class
+                break
+        predictions.append(label)
+    return predictions
 
 
 def separable_dataset():

@@ -88,8 +88,11 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
             [v for v in dataset.column(i) if v is not None], dtype=float
         )
         stats.append(_column_stats(dataset.attributes[i].name, observed))
-    shape_total = float(sum(s.skewness + s.kurtosis for s in stats))
-    spread_total = float(sum(s.range + s.variance + s.stddev for s in stats))
+    # summing in attribute-name order keeps the totals bit-identical when
+    # the columns are permuted
+    by_name = sorted(stats, key=lambda s: s.name)
+    shape_total = float(sum(s.skewness + s.kurtosis for s in by_name))
+    spread_total = float(sum(s.range + s.variance + s.stddev for s in by_name))
     return DistributionSummary(tuple(stats), shape_total, spread_total)
 
 

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mrprior
 from mrprior import (
     ApplicabilityError,
     MrSpec,
@@ -11,6 +18,8 @@ from mrprior import (
     knn_outliers,
     numeric_view,
 )
+from mrprior.metrics import anomaly
+from mrprior.metrics.anomaly import AnomalySummary, OutlierReport, compare_outliers
 
 from conftest import make_dataset, random_dataset
 
@@ -100,6 +109,133 @@ class TestKnnOutliers:
         d = make_dataset({"x": [1.0, 2.0, 3.0]})
         with pytest.raises(ApplicabilityError):
             knn_outliers(numeric_view(d), k=1, contamination=0.0)
+
+
+def blocked_cases():
+    """(view, k, contamination) cases for the row-block kernel."""
+    rng = np.random.default_rng(27)
+    cases = []
+    for n, dim in ((23, 3), (37, 9), (41, 12)):   # d >= 9: 8-accumulator sums
+        columns = {f"x{j}": list(rng.normal(0, 3, n)) for j in range(dim)}
+        for j in range(dim):   # rows 5 and 6 duplicate row 0: zero distances
+            columns[f"x{j}"][5] = columns[f"x{j}"][6] = columns[f"x{j}"][0]
+        cases.append((numeric_view(make_dataset(columns)), 3, 0.1))
+    # equally spaced points on a diagonal in 9 dimensions: every interior
+    # point ties, so the flag boundary falls inside a tie
+    line = [float(i) for i in range(20)]
+    view = numeric_view(make_dataset({f"x{j}": line for j in range(9)}), standardize=False)
+    cases.append((view, 2, 0.15))
+    return cases
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("budget", [1, 50, 997, 2**19])
+    def test_blocks_match_oracle(self, monkeypatch, budget):
+        # budget 1 gives one row per block; 50 and 997 leave a partial last block
+        monkeypatch.setattr(anomaly, "BLOCK_ELEMENTS", budget)
+        for view, k, contamination in blocked_cases():
+            report = knn_outliers(view, k=k, contamination=contamination)
+            expected = oracle_kth_nn_scores(view.matrix, k)
+            assert np.array_equal(report.scores, np.array(expected))
+            assert list(report.indices) == oracle_flags(expected, contamination)
+
+    def test_flag_boundary_tie_is_covered(self):
+        view, k, contamination = blocked_cases()[-1]
+        report = knn_outliers(view, k=k, contamination=contamination)
+        assert report.indices == (0, 1, 19)
+        assert report.scores[1] == report.scores[2]
+
+    def test_worker_count_does_not_change_scores(self, monkeypatch):
+        monkeypatch.setattr(anomaly, "BLOCK_ELEMENTS", 200)
+        results = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(anomaly, "_usable_cpus", lambda: workers)
+            results.append([knn_outliers(v, k, c) for v, k, c in blocked_cases()])
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a.scores, b.scores)
+                assert a.indices == b.indices
+
+    def test_block_error_is_raised(self, monkeypatch):
+        class BadCell(float):
+            def __sub__(self, other):
+                raise FloatingPointError("bad cell")
+
+            __rsub__ = __sub__
+
+        monkeypatch.setattr(anomaly, "BLOCK_ELEMENTS", 10)
+        matrix = np.array([[float(i)] for i in range(12)], dtype=object)
+        matrix[9, 0] = BadCell(9.0)   # every block subtracts this cell
+        view = SimpleNamespace(matrix=matrix, n_rows=12)
+        with pytest.raises(FloatingPointError):
+            knn_outliers(view, k=3, contamination=0.1)
+
+    def test_memory_is_bounded(self):
+        # the whole 3000 x 3000 x 8 difference tensor would be 576 MB
+        rng = np.random.default_rng(28)
+        view = numeric_view(make_dataset({f"x{j}": list(rng.normal(0, 1, 3000)) for j in range(8)}))
+        tracemalloc.start()
+        try:
+            knn_outliers(view, k=5, contamination=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_cli_import_leaves_thread_pool_out(self):
+        src = str(Path(mrprior.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, mrprior.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
+
+def loop_matches(source, followup):
+    """The linear-scan matching compare_outliers used before its dict lookup."""
+    matches = []
+    if source.feature_names == followup.feature_names:
+        free = list(followup.report.indices)
+        for i in source.report.indices:
+            j = next((j for j in free if np.array_equal(source.raw[i], followup.raw[j])), None)
+            if j is not None:
+                matches.append([i, j])
+                free.remove(j)
+    return matches
+
+
+def outlier_summary(raw, flagged, names=("a", "b")):
+    report = OutlierReport(tuple(flagged), np.zeros(len(raw)), 2, 0.1)
+    return AnomalySummary(report, names, np.array(raw, dtype=float))
+
+
+class TestOutlierMatching:
+    def test_matches_linear_scan(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            # few distinct values: many duplicated outlier rows, and -0.0
+            # wherever a 0.0 is drawn on the follow-up side
+            raw_s = rng.integers(-1, 2, (int(rng.integers(2, 30)), 2)).astype(float)
+            raw_f = rng.integers(-1, 2, (int(rng.integers(2, 30)), 2)).astype(float)
+            raw_f[raw_f == 0.0] = -0.0
+            flag_s = sorted(rng.choice(len(raw_s), int(rng.integers(0, len(raw_s))), replace=False))
+            flag_f = sorted(rng.choice(len(raw_f), int(rng.integers(0, len(raw_f))), replace=False))
+            s, f = outlier_summary(raw_s, flag_s), outlier_summary(raw_f, flag_f)
+            expected = loop_matches(s, f)
+            _, diag = compare_outliers(s, f)
+            assert diag["identical_pairs"] == expected
+            assert diag["surviving_source"] == len(flag_s) - len(expected)
+
+    def test_signed_zero_and_duplicates(self):
+        s = outlier_summary([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]], [0, 1, 2])
+        f = outlier_summary([[2.0, 2.0], [-0.0, 1.0], [5.0, 5.0], [0.0, 1.0]], [0, 1, 2, 3])
+        _, diag = compare_outliers(s, f)
+        assert diag["identical_pairs"] == [[0, 1], [1, 3], [2, 0]] == loop_matches(s, f)
+
+    def test_different_features_never_match(self):
+        s = outlier_summary([[1.0, 1.0]], [0])
+        f = outlier_summary([[1.0, 1.0]], [0], names=("a", "c"))
+        assert compare_outliers(s, f)[1]["identical_pairs"] == loop_matches(s, f) == []
 
 
 class TestAnomalyDiversity:

@@ -1,7 +1,9 @@
 """Property tests over small random mixed datasets.
 
 * MRs that change nothing a metric can see (identity, a row shuffle) score
-  exactly 0.0 under every metric.
+  exactly 0.0 under every metric.  A column permutation scores exactly 0.0
+  under the two metrics that do not depend on column order (``rule`` and
+  ``clustering`` do).
 * ``score_catalog``, which summarizes each source once and shares it, gives
   the same raw scores and diagnostics as scoring each pair on its own.
 """
@@ -67,6 +69,15 @@ def test_identity_and_row_shuffle_score_exactly_zero(source, seed):
     for metric in METRICS:
         for score in score_catalog(pairs, metric):
             assert score.raw == 0.0, (metric, score.mr_id, score.raw)
+
+
+@settings(max_examples=40, **COMMON)
+@given(source=mixed_datasets(), seed=st.integers(0, 2**16))
+def test_attribute_permutation_scores_exactly_zero(source, seed):
+    pairs = build_pairs([MrSpec("MR1", "perm", "permute_attributes", seed=seed)], source)
+    for metric in ("distribution", "anomaly"):
+        [score] = score_catalog(pairs, metric)
+        assert score.raw == 0.0, (metric, score.raw)
 
 
 @settings(max_examples=15, **COMMON)

@@ -27,7 +27,7 @@ from .evaluation import (
     evaluate_ordering,
     load_coverage_matrix,
     load_kill_matrix,
-    permutation_test,
+    permutation_tests,
     random_baseline,
     relative_improvement,
     report_from_dict,
@@ -350,14 +350,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alpha = float(opt["alpha"])
     rows = []
     improvements = relative_improvement(treatment.curve, baseline.curve)
-    for m in range(len(treatment.curve.points)):
-        p = permutation_test(
-            treatment.detection[m],
-            baseline.detection[m],
-            alternative=str(opt["alternative"]),
-            iterations=int(opt["iterations"]),
-            seed=seed,
-        )
+    p_values = permutation_tests(
+        treatment.detection,
+        baseline.detection,
+        alternative=str(opt["alternative"]),
+        iterations=int(opt["iterations"]),
+        seed=seed,
+    )
+    for m, p in enumerate(p_values):
         rows.append(
             {
                 "size": m + 1,

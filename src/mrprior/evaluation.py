@@ -224,12 +224,15 @@ def _curve(detection: np.ndarray, km: KillMatrix) -> FaultDetectionCurve:
     return FaultDetectionCurve(tuple(float(100.0 * k / n_killable) for k in killed))
 
 
+def _apfd_value(position_sum: int, n: int, found: int) -> float:
+    return 1.0 - position_sum / (n * found) + 1.0 / (2 * n)
+
+
 def _apfd(first: np.ndarray, km: KillMatrix) -> float:
     found = first[first > 0]
     if not found.size:
         raise ApplicabilityError("APFD is undefined: no killable mutants")
-    n = len(km.mr_ids)
-    return 1.0 - int(found.sum()) / (n * found.size) + 1.0 / (2 * n)
+    return _apfd_value(int(found.sum()), len(km.mr_ids), found.size)
 
 
 def _time_to_fault(rows: list[int], first: np.ndarray, km: KillMatrix) -> float:
@@ -320,7 +323,7 @@ class EvalReport:
 
 def report_from_dict(data: dict) -> EvalReport:
     try:
-        return EvalReport(
+        report = EvalReport(
             kind=data["kind"],
             ordering=tuple(data["ordering"]) if data["ordering"] is not None else None,
             curve=FaultDetectionCurve(tuple(float(p) for p in data["curve"])),
@@ -338,6 +341,13 @@ def report_from_dict(data: dict) -> EvalReport:
         )
     except (KeyError, TypeError, ValueError, InvariantError) as exc:
         raise InputError(f"malformed evaluation report: {exc}") from exc
+    expected = (len(report.curve.points), len(report.mutant_ids))
+    if report.detection.shape != expected:
+        raise InputError(
+            f"malformed evaluation report: detection has shape {report.detection.shape}, "
+            f"expected {expected} (curve points x mutants)"
+        )
+    return report
 
 
 def evaluate_ordering(
@@ -367,6 +377,18 @@ def evaluate_ordering(
 # baselines
 # ---------------------------------------------------------------------------
 
+# random-baseline runs are evaluated together, at most this many
+# (run, killing MR-mutant pair) positions per block
+RUN_BLOCK_ELEMENTS = 2**15
+
+
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    """counts[i, v]: occurrences of v in row i of *values* (ints in [0, width))."""
+    rows = values.shape[0]
+    flat = (np.arange(rows)[:, None] * width + values).ravel()
+    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
+
+
 def random_baseline(
     km: KillMatrix,
     runs: int = 100,
@@ -380,34 +402,56 @@ def random_baseline(
     any prefix of the runs is reproducible in isolation.  With
     ``exhaustive=True`` every permutation is enumerated once instead (the
     exact expectation; feasible only for small catalogs).
+
+    Runs are evaluated in blocks: a mutant's first-kill position in a run is
+    the earliest position of its killers.  Detection is built from integer
+    counts, the curve is summed run by run in run order, and APFD and time
+    to fault are averaged over per-run values, so every bit of the report is
+    that of evaluating the runs one at a time, whatever the block size.
     """
-    if int(km.killable_mask.sum()) == 0:
+    killable = km.killable_mask
+    n_killable = int(killable.sum())
+    if n_killable == 0:
         raise ApplicabilityError("baseline is undefined: no killable mutants")
-    ids = list(km.mr_ids)
+    n = len(km.mr_ids)
     if exhaustive:
-        if len(ids) > 8:
+        if n > 8:
             raise InputError("exhaustive enumeration is limited to 8 MRs")
-        orders = [list(p) for p in itertools.permutations(ids)]
+        orders = itertools.permutations(range(n))
+        count = math.factorial(n)
     else:
         if runs < 1:
             raise InputError(f"runs must be >= 1, got {runs}")
-        orders = []
-        for r in range(runs):
-            rng = np.random.default_rng(seed + r)
-            orders.append([ids[i] for i in rng.permutation(len(ids))])
+        orders = (np.random.default_rng(seed + r).permutation(n) for r in range(runs))
+        count = runs
 
-    curve_sum = np.zeros(len(ids))
-    detection_sum = np.zeros((len(ids), len(km.mutant_ids)))
+    # killing (MR, mutant) pairs, grouped by killable mutant in mutant order
+    mutant, killer = np.nonzero(km.kills[:, killable].T)
+    starts = np.flatnonzero(np.diff(mutant, prepend=-1))
+    block = max(1, RUN_BLOCK_ELEMENTS // killer.size)
+    curve_sum = np.zeros(n)
+    # killable mutants x positions: runs whose first kill comes at that position
+    first_counts = np.zeros((n_killable, n), dtype=np.int64)
     apfd_values = []
     time_values = []
-    for order in orders:
-        rows, detection, first = _one_pass(order, km)
-        curve_sum += np.array(_curve(detection, km).points)
-        detection_sum += detection
-        apfd_values.append(_apfd(first, km))
-        time_values.append(_time_to_fault(rows, first, km))
+    for _ in range(0, count, block):
+        perms = np.array(list(itertools.islice(orders, block)))
+        position = np.argsort(perms, axis=1)    # runs x MRs: where each MR runs
+        # runs x killable mutants: 0-based position of the first killer
+        first = np.minimum.reduceat(position[:, killer], starts, axis=1)
+        first_counts += _row_counts(first.T, n)
+        for found in np.cumsum(_row_counts(first, n), axis=1):
+            curve_sum += 100.0 * found / n_killable
+        apfd_values.extend(
+            _apfd_value(int(s), n, n_killable) for s in first.sum(axis=1) + n_killable
+        )
+        cumulative = np.cumsum(km.exec_time[perms], axis=1)
+        time_values.extend(
+            float(np.mean(t)) for t in np.take_along_axis(cumulative, first, axis=1)
+        )
 
-    count = len(orders)
+    detection_count = np.zeros(km.kills.shape, dtype=np.int64)
+    detection_count[:, killable] = np.cumsum(first_counts, axis=1).T
     mean_curve = FaultDetectionCurve(tuple(float(p) for p in curve_sum / count))
     return EvalReport(
         kind="averaged",
@@ -420,7 +464,7 @@ def random_baseline(
         avg_time_to_fault=float(np.mean(time_values)),
         mutant_ids=km.mutant_ids,
         unkillable=km.unkillable_ids,
-        detection=detection_sum / count,
+        detection=detection_count / count,
         runs=count,
         seed=None if exhaustive else seed,
     )
@@ -472,44 +516,74 @@ def permutation_test(
     distribution is sampled ``iterations`` times with the given seed (with
     the +1 correction so the estimate can never be zero).
     """
+    return permutation_tests([a], [b], alternative, iterations, seed)[0]
+
+
+def permutation_tests(
+    rows_a: Sequence[Sequence[float]],
+    rows_b: Sequence[Sequence[float]],
+    alternative: str = "greater",
+    iterations: int = 10000,
+    seed: int = 0,
+) -> list[float]:
+    """``permutation_test`` of each row of *rows_a* over the same row of *rows_b*.
+
+    Every pair has the same length n, so all pairs share one null: the sign
+    matrix is drawn (or, in exact mode, each chunk of it is built) once and
+    applied to every row's differences with its own matrix-vector product.
+    Each p-value is bit-identical to a separate ``permutation_test`` call.
+    """
     if alternative not in ALTERNATIVES:
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
-    left = np.asarray(a, dtype=float)
-    right = np.asarray(b, dtype=float)
-    if left.ndim != 1 or right.ndim != 1 or left.size == 0 or left.size != right.size:
-        raise InputError("paired samples must be equal-length non-empty vectors")
-    diffs = left - right
-    n = diffs.size
-    observed = float(np.ones(n) @ diffs / n)
+    if len(rows_a) != len(rows_b):
+        raise InputError("need as many treatment rows as baseline rows")
+    diffs = []
+    for a, b in zip(rows_a, rows_b):
+        left = np.asarray(a, dtype=float)
+        right = np.asarray(b, dtype=float)
+        if left.ndim != 1 or right.ndim != 1 or left.size == 0 or left.size != right.size:
+            raise InputError("paired samples must be equal-length non-empty vectors")
+        diffs.append(left - right)
+    if len({d.size for d in diffs}) > 1:
+        raise InputError("every pair of rows must have the same length")
+    if not diffs:
+        return []
+    n = diffs[0].size
 
-    def count_extreme(stats: np.ndarray) -> int:
+    def count_extreme(stats: np.ndarray, observed: float) -> int:
         if alternative == "greater":
             return int((stats >= observed).sum())
         return int((np.abs(stats) >= abs(observed)).sum())
 
     if n <= EXACT_LIMIT:
         total = 1 << n
-        extreme = 0
+        observed = [0.0] * len(diffs)
+        extreme = [0] * len(diffs)
         bit_positions = np.arange(n, dtype=np.uint64)
         chunk = 1 << 16
         for start in range(0, total, chunk):
             ids = np.arange(start, min(start + chunk, total), dtype=np.uint64)
             signs = 1.0 - 2.0 * ((ids[:, None] >> bit_positions) & 1)
-            stats = signs @ diffs / n
-            if start == 0:
-                # sign id 0 is the identity assignment; reading the observed
-                # statistic off the same matrix product guarantees it ties
-                # itself bit-for-bit, so the exact p-value is at least 1/2^n
-                observed = float(stats[0])
-            extreme += count_extreme(stats)
-        return extreme / total
+            for i, d in enumerate(diffs):
+                stats = signs @ d / n
+                if start == 0:
+                    # sign id 0 is the identity assignment; reading the observed
+                    # statistic off the same matrix product guarantees it ties
+                    # itself bit-for-bit, so the exact p-value is at least 1/2^n
+                    observed[i] = float(stats[0])
+                extreme[i] += count_extreme(stats, observed[i])
+        return [e / total for e in extreme]
 
     if iterations < 1:
         raise InputError(f"iterations must be >= 1, got {iterations}")
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(iterations, n)) * 2.0 - 1.0
-    extreme = count_extreme(signs @ diffs / n)
-    return (extreme + 1) / (iterations + 1)
+    # one GEMV per row over the whole matrix: a GEMM over all rows, or the
+    # sign rows streamed in blocks, can change the last bits of the statistics
+    return [
+        (count_extreme(signs @ d / n, float(np.ones(n) @ d / n)) + 1) / (iterations + 1)
+        for d in diffs
+    ]
 
 
 def relative_improvement(

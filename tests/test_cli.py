@@ -412,6 +412,50 @@ class TestCompare:
         )
         assert rc == 2
 
+    def synth_reports(self, tmp_path, n_mrs, n_mutants=30):
+        """Evaluate the catalog order and its reverse on a synthetic kill matrix."""
+        kills, times = str(tmp_path / "k.csv"), str(tmp_path / "t.csv")
+        assert main(["synth", "--mrs", str(n_mrs), "--mutants", str(n_mutants),
+                     "--kill-prob", "0.3", "--out-kills", kills, "--out-times", times]) == 0
+        ids = [f"MR{i + 1:0{len(str(n_mrs))}d}" for i in range(n_mrs)]
+        ws = {"kills": kills, "times": times}
+        return (self.evaluate_to(ws, tmp_path, ids, "treat"),
+                self.evaluate_to(ws, tmp_path, ids[::-1], "base"))
+
+    @pytest.mark.parametrize("cut", ["rows", "columns"])
+    def test_short_detection_exits_2(self, tmp_path, capsys, cut):
+        treatment, baseline = self.synth_reports(tmp_path, 5)
+        payload = read_json(treatment)
+        detection = payload["report"]["detection"]
+        if cut == "rows":
+            payload["report"]["detection"] = detection[:3]
+        else:
+            payload["report"]["detection"] = [row[:-1] for row in detection]
+        with open(treatment, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        rc = main(["compare", "--treatment", treatment, "--baseline", baseline,
+                   "--out", str(tmp_path / "cmp.json")])
+        assert rc == 2
+        assert "detection has shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_mrs", [3, 9])
+    def test_one_generator_per_compare(self, tmp_path, monkeypatch, n_mrs):
+        treatment, baseline = self.synth_reports(tmp_path, n_mrs)
+        made = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        out = tmp_path / "cmp.json"
+        rc = main(["compare", "--treatment", treatment, "--baseline", baseline,
+                   "--iterations", "200", "--out", str(out)])
+        assert rc == 0
+        assert len(read_json(out)["sizes"]) == n_mrs
+        assert len(made) == 1
+
 
 class TestSynth:
     def test_deterministic_files_with_seed_comment(self, tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mrprior import evaluation
 from mrprior.errors import ApplicabilityError, InputError, InvariantError
 from mrprior.evaluation import (
     CoverageMatrix,
@@ -24,6 +25,7 @@ from mrprior.evaluation import (
     load_kill_matrix,
     load_times,
     permutation_test,
+    permutation_tests,
     random_baseline,
     relative_improvement,
     report_from_dict,
@@ -107,6 +109,59 @@ def exact_sign_flip_p(diffs, alternative):
         else:
             extreme += abs(stat) >= abs(observed)
     return extreme / 2**n
+
+
+def oracle_permutation_test(a, b, alternative="greater", iterations=10000, seed=0):
+    """The single-pair sign-flip test as it was before pairs shared one null."""
+    left = np.asarray(a, dtype=float)
+    right = np.asarray(b, dtype=float)
+    diffs = left - right
+    n = diffs.size
+    observed = float(np.ones(n) @ diffs / n)
+
+    def count_extreme(stats):
+        if alternative == "greater":
+            return int((stats >= observed).sum())
+        return int((np.abs(stats) >= abs(observed)).sum())
+
+    if n <= 20:
+        total = 1 << n
+        extreme = 0
+        bit_positions = np.arange(n, dtype=np.uint64)
+        chunk = 1 << 16
+        for start in range(0, total, chunk):
+            ids = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+            signs = 1.0 - 2.0 * ((ids[:, None] >> bit_positions) & 1)
+            stats = signs @ diffs / n
+            if start == 0:
+                observed = float(stats[0])
+            extreme += count_extreme(stats)
+        return extreme / total
+    rng = np.random.default_rng(seed)
+    signs = rng.integers(0, 2, size=(iterations, n)) * 2.0 - 1.0
+    extreme = count_extreme(signs @ diffs / n)
+    return (extreme + 1) / (iterations + 1)
+
+
+def oracle_random_baseline(km, runs, seed):
+    """Evaluate each seed + r ordering on its own and average as the report does."""
+    curve_sum = np.zeros(len(km.mr_ids))
+    detection_sum = np.zeros(km.kills.shape)
+    apfds = []
+    times = []
+    for r in range(runs):
+        perm = np.random.default_rng(seed + r).permutation(len(km.mr_ids))
+        report = evaluate_ordering([km.mr_ids[i] for i in perm], km)
+        curve_sum += np.array(report.curve.points)
+        detection_sum += report.detection
+        apfds.append(report.apfd)
+        times.append(report.avg_time_to_fault)
+    return (
+        tuple(float(p) for p in curve_sum / runs),
+        detection_sum / runs,
+        float(np.mean(apfds)),
+        float(np.mean(times)),
+    )
 
 
 # --- loaders -----------------------------------------------------------------
@@ -426,6 +481,17 @@ class TestEvalReport:
             report_from_dict(missing)
 
 
+    def test_detection_shape_must_match_curve_and_mutants(self):
+        km = synth_kill_matrix(4, 6, kill_prob=0.5, seed=1)
+        report = evaluate_ordering(list(km.mr_ids), km).to_dict()
+        short_rows = dict(report, detection=report["detection"][:2])
+        with pytest.raises(InputError, match="detection has shape"):
+            report_from_dict(short_rows)
+        short_cols = dict(report, detection=[row[:-1] for row in report["detection"]])
+        with pytest.raises(InputError, match="detection has shape"):
+            report_from_dict(short_cols)
+
+
 # --- baselines ---------------------------------------------------------------
 
 class TestRandomBaseline:
@@ -506,6 +572,60 @@ class TestRandomBaseline:
         dead = km_from([[0], [0]], [1.0, 1.0])
         with pytest.raises(ApplicabilityError):
             random_baseline(dead, runs=5)
+
+
+class TestRandomBaselineBlocks:
+    """Run blocks must reproduce the one-run-at-a-time loop bit for bit."""
+
+    def matrices(self):
+        # unkillable mutants, uneven kill rates, zero and uneven times
+        rng = np.random.default_rng(53)
+        sparse = rng.random((12, 40)) < 0.15
+        sparse[:, [3, 17, 39]] = False
+        times = rng.uniform(0.0, 3.0, size=12)
+        times[[0, 5]] = 0.0
+        dense = synth_kill_matrix(7, 25, kill_prob=[0.9, 0.1, 0.5, 0.0, 0.3, 0.7, 0.2],
+                                  times=(0.1, 9.0), seed=8)
+        return [
+            km_from(sparse, times),
+            km_from(sparse, [0.0] * 12),
+            dense,
+        ]
+
+    @pytest.mark.parametrize("runs_per_block", [None, 4])
+    def test_bits_match_loop_oracle(self, monkeypatch, runs_per_block):
+        for km in self.matrices():
+            pairs = int(km.kills.sum())
+            if runs_per_block is not None:
+                monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", pairs * runs_per_block)
+            block = max(1, evaluation.RUN_BLOCK_ELEMENTS // pairs)
+            for runs in sorted({1, max(1, block - 1), block, block + 1, 1000}):
+                report = random_baseline(km, runs=runs, seed=17)
+                curve, detection, apfd_mean, time_mean = oracle_random_baseline(km, runs, 17)
+                assert report.curve.points == curve, (runs, block)
+                assert np.array_equal(report.detection, detection), (runs, block)
+                assert report.apfd == apfd_mean, (runs, block)
+                assert report.avg_time_to_fault == time_mean, (runs, block)
+                assert report.runs == runs
+
+    def test_exhaustive_matches_loop_over_permutations(self, monkeypatch):
+        km = self.matrices()[2]
+        monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", int(km.kills.sum()) * 7)
+        report = random_baseline(km, exhaustive=True)
+        curve_sum = np.zeros(7)
+        detection_sum = np.zeros(km.kills.shape)
+        apfds, times = [], []
+        for perm in itertools.permutations(km.mr_ids):
+            single = evaluate_ordering(list(perm), km)
+            curve_sum += np.array(single.curve.points)
+            detection_sum += single.detection
+            apfds.append(single.apfd)
+            times.append(single.avg_time_to_fault)
+        assert report.runs == 5040
+        assert report.curve.points == tuple(float(p) for p in curve_sum / 5040)
+        assert np.array_equal(report.detection, detection_sum / 5040)
+        assert report.apfd == float(np.mean(apfds))
+        assert report.avg_time_to_fault == float(np.mean(times))
 
 
 class TestCoverageGreedy:
@@ -667,6 +787,58 @@ class TestPermutationTest:
             permutation_test([], [])
         with pytest.raises(InputError):
             permutation_test([1.0], [1.0], alternative="less")
+
+
+class TestSharedNull:
+    """Batched p-values must equal the single-pair test bit for bit."""
+
+    def rows(self, n, count, seed):
+        # detection-like fractions: many ties, some exact zeros
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 101, size=(count, n)) / 100.0
+        treat = np.clip(base + rng.integers(-10, 25, size=(count, n)) / 100.0, 0.0, 1.0)
+        treat[0] = base[0]
+        return treat, base
+
+    @pytest.mark.parametrize("n", [21, 40, 500])
+    @pytest.mark.parametrize("iterations", [1, 7, 10000])
+    def test_monte_carlo_bits_match_single_pair(self, n, iterations):
+        for seed in (0, 7, 2023):
+            treat, base = self.rows(n, 3, seed + n)
+            for alternative in ("greater", "two-sided"):
+                got = permutation_tests(treat, base, alternative, iterations, seed)
+                want = [
+                    oracle_permutation_test(a, b, alternative, iterations, seed)
+                    for a, b in zip(treat, base)
+                ]
+                assert got == want
+                assert got[0] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 5, 17, 20])
+    def test_exact_bits_match_single_pair(self, n):
+        treat, base = self.rows(n, 4, n)
+        for alternative in ("greater", "two-sided"):
+            got = permutation_tests(treat, base, alternative, iterations=0)
+            want = [oracle_permutation_test(a, b, alternative) for a, b in zip(treat, base)]
+            assert got == want
+
+    def test_single_pair_is_the_one_row_case(self):
+        treat, base = self.rows(30, 2, 5)
+        for a, b in zip(treat, base):
+            assert permutation_test(a, b, iterations=500, seed=3) == permutation_tests(
+                [a], [b], iterations=500, seed=3
+            )[0]
+
+    def test_input_validation(self):
+        assert permutation_tests([], []) == []
+        with pytest.raises(InputError):
+            permutation_tests([[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(InputError):
+            permutation_tests([[1.0, 2.0], [1.0]], [[1.0, 2.0], [1.0]])
+        with pytest.raises(InputError):
+            permutation_tests([[1.0]], [[1.0]], alternative="less")
+        with pytest.raises(InputError):
+            permutation_tests([[0.5] * 21], [[0.0] * 21], iterations=0)
 
 
 class TestRelativeImprovement:

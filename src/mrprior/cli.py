@@ -27,7 +27,7 @@ from .evaluation import (
     evaluate_ordering,
     load_coverage_matrix,
     load_kill_matrix,
-    permutation_tests,
+    permutation_test,
     random_baseline,
     relative_improvement,
     report_from_dict,
@@ -350,9 +350,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alpha = float(opt["alpha"])
     rows = []
     improvements = relative_improvement(treatment.curve, baseline.curve)
-    p_values = permutation_tests(
-        treatment.detection,
-        baseline.detection,
+    # one column per MR-set size, all tested against one sign-flip null
+    p_values = permutation_test(
+        treatment.detection.T,
+        baseline.detection.T,
         alternative=str(opt["alternative"]),
         iterations=int(opt["iterations"]),
         seed=seed,

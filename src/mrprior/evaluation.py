@@ -202,75 +202,103 @@ def _check_order(order: Sequence[str], km: KillMatrix) -> list[int]:
     return [index[m] for m in order]
 
 
-def _one_pass(order: Sequence[str], km: KillMatrix) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Check *order* once; return its kill-matrix rows, detection matrix and
-    first-kill positions.
+# An ordering is evaluated as a block of runs: one row of MR indices per run.
+# A single ordering is the one-run block; random baselines evaluate many.
 
-    Detection row m-1, column j is 1.0 when mutant j is killed by the first m
-    MRs.  Positions are 1-based per mutant, 0 when it is never killed.
+def _kill_groups(km: KillMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Killing (MR, mutant) pairs grouped by killable mutant, in mutant order:
+    the MR of each pair, and where each mutant's group starts."""
+    mutant, killer = np.nonzero(km.kills[:, km.killable_mask].T)
+    return killer, np.flatnonzero(np.diff(mutant, prepend=-1))
+
+
+def _first_kills(perms: np.ndarray, groups: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Runs x killable mutants: 0-based position of each mutant's first killer,
+    the earliest position of its killers in the run's order."""
+    killer, starts = groups
+    position = np.argsort(perms, axis=1)    # runs x MRs: where each MR runs
+    return np.minimum.reduceat(position[:, killer], starts, axis=1)
+
+
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    """counts[i, v]: occurrences of v in row i of *values* (ints in [0, width))."""
+    rows = values.shape[0]
+    flat = (np.arange(rows)[:, None] * width + values).ravel()
+    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
+
+
+def _run_curves(first: np.ndarray, n: int) -> np.ndarray:
+    """Runs x n: percentage of killable mutants exposed by each prefix.
+
+    With no killable mutants the curve is flat 100: every prefix kills all of
+    an empty set.
     """
-    rows = _check_order(order, km)
-    killed = np.cumsum(km.kills[rows].astype(int), axis=0) > 0
-    first = np.where(killed[-1], killed.argmax(axis=0) + 1, 0)
-    return rows, killed.astype(float), first
-
-
-def _curve(detection: np.ndarray, km: KillMatrix) -> FaultDetectionCurve:
-    killable = km.killable_mask
-    n_killable = int(killable.sum())
+    n_killable = first.shape[1]
     if n_killable == 0:
-        return FaultDetectionCurve(tuple(100.0 for _ in km.mr_ids))
-    killed = detection[:, killable].sum(axis=1)
-    return FaultDetectionCurve(tuple(float(100.0 * k / n_killable) for k in killed))
+        return np.full((len(first), n), 100.0)
+    return 100.0 * np.cumsum(_row_counts(first, n), axis=1) / n_killable
 
 
-def _apfd_value(position_sum: int, n: int, found: int) -> float:
-    return 1.0 - position_sum / (n * found) + 1.0 / (2 * n)
-
-
-def _apfd(first: np.ndarray, km: KillMatrix) -> float:
-    found = first[first > 0]
-    if not found.size:
+def _run_apfds(first: np.ndarray, n: int) -> list[float]:
+    found = first.shape[1]
+    if not found:
         raise ApplicabilityError("APFD is undefined: no killable mutants")
-    return _apfd_value(int(found.sum()), len(km.mr_ids), found.size)
+    return [1.0 - int(s) / (n * found) + 1.0 / (2 * n) for s in first.sum(axis=1) + found]
 
 
-def _time_to_fault(rows: list[int], first: np.ndarray, km: KillMatrix) -> float:
-    found = first[first > 0]
-    if not found.size:
+def _run_times(perms: np.ndarray, first: np.ndarray, km: KillMatrix) -> list[float]:
+    if not first.shape[1]:
         raise ApplicabilityError("time to fault is undefined: no killable mutants")
-    cumulative = np.cumsum(km.exec_time[rows])
-    return float(np.mean(cumulative[found - 1]))
+    cumulative = np.cumsum(km.exec_time[perms], axis=1)
+    return [float(np.mean(t)) for t in np.take_along_axis(cumulative, first, axis=1)]
+
+
+def _detection_counts(first_counts: np.ndarray, km: KillMatrix) -> np.ndarray:
+    """MRs x mutants: runs in which the first m MRs kill each mutant, from the
+    killable mutants x positions counts of first kills."""
+    counts = np.zeros(km.kills.shape, dtype=np.int64)
+    counts[:, km.killable_mask] = np.cumsum(first_counts, axis=1).T
+    return counts
+
+
+def _curve(points: np.ndarray) -> FaultDetectionCurve:
+    return FaultDetectionCurve(tuple(float(p) for p in points))
+
+
+def _one_pass(order: Sequence[str], km: KillMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Check *order* once; return it as a one-run block and its first kills."""
+    perm = np.array([_check_order(order, km)])
+    return perm, _first_kills(perm, _kill_groups(km))
 
 
 def _positions(first: np.ndarray, km: KillMatrix) -> dict[str, int | None]:
-    return {m: int(p) if p else None for m, p in zip(km.mutant_ids, first)}
+    positions = np.zeros(len(km.mutant_ids), dtype=int)
+    positions[km.killable_mask] = first[0] + 1
+    return {m: int(p) if p else None for m, p in zip(km.mutant_ids, positions)}
 
 
 def first_kill_positions(order: Sequence[str], km: KillMatrix) -> dict[str, int | None]:
     """1-based position of the first killer per mutant, None when never killed."""
-    return _positions(_one_pass(order, km)[2], km)
+    return _positions(_one_pass(order, km)[1], km)
 
 
 def detection_curve(order: Sequence[str], km: KillMatrix) -> FaultDetectionCurve:
     """Percentage of killable mutants exposed by each ordering prefix.
 
-    With no killable mutants the curve is flat 100: every prefix kills all of
-    an empty set.
+    With no killable mutants the curve is flat 100.
     """
-    return _curve(_one_pass(order, km)[1], km)
+    return _curve(_run_curves(_one_pass(order, km)[1], len(km.mr_ids))[0])
 
 
 def apfd(order: Sequence[str], km: KillMatrix) -> float:
     """Average percentage of faults detected, over killable mutants only."""
-    return _apfd(_one_pass(order, km)[2], km)
+    return _run_apfds(_one_pass(order, km)[1], len(km.mr_ids))[0]
 
 
 def avg_time_to_fault(order: Sequence[str], km: KillMatrix) -> float:
     """Mean, over killable mutants, of the execution time spent up to and
     including the first MR that kills each one."""
-    rows, _, first = _one_pass(order, km)
-    return _time_to_fault(rows, first, km)
+    return _run_times(*_one_pass(order, km), km)[0]
 
 
 def effective_set_size(curve: FaultDetectionCurve, threshold: float) -> int:
@@ -355,20 +383,21 @@ def evaluate_ordering(
     km: KillMatrix,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
-    rows, detection, first = _one_pass(order, km)
-    curve = _curve(detection, km)
+    perm, first = _one_pass(order, km)
+    n = len(km.mr_ids)
+    curve = _curve(_run_curves(first, n)[0])
     return EvalReport(
         kind="single",
         ordering=tuple(order),
         curve=curve,
-        apfd=_apfd(first, km),
+        apfd=_run_apfds(first, n)[0],
         effective_sizes=tuple(
             (float(t), effective_set_size(curve, t)) for t in thresholds
         ),
-        avg_time_to_fault=_time_to_fault(rows, first, km),
+        avg_time_to_fault=_run_times(perm, first, km)[0],
         mutant_ids=km.mutant_ids,
         unkillable=km.unkillable_ids,
-        detection=detection,
+        detection=_detection_counts(_row_counts(first.T, n), km).astype(float),
         first_positions=_positions(first, km),
     )
 
@@ -377,16 +406,10 @@ def evaluate_ordering(
 # baselines
 # ---------------------------------------------------------------------------
 
-# random-baseline runs are evaluated together, at most this many
-# (run, killing MR-mutant pair) positions per block
+# random-baseline runs are evaluated together; a block's per-run arrays (runs x
+# MRs, runs x killing MR-mutant pairs) hold at most this many elements each,
+# or one run when a single run is wider
 RUN_BLOCK_ELEMENTS = 2**15
-
-
-def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
-    """counts[i, v]: occurrences of v in row i of *values* (ints in [0, width))."""
-    rows = values.shape[0]
-    flat = (np.arange(rows)[:, None] * width + values).ravel()
-    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
 
 
 def random_baseline(
@@ -403,14 +426,13 @@ def random_baseline(
     ``exhaustive=True`` every permutation is enumerated once instead (the
     exact expectation; feasible only for small catalogs).
 
-    Runs are evaluated in blocks: a mutant's first-kill position in a run is
-    the earliest position of its killers.  Detection is built from integer
-    counts, the curve is summed run by run in run order, and APFD and time
-    to fault are averaged over per-run values, so every bit of the report is
-    that of evaluating the runs one at a time, whatever the block size.
+    Runs are evaluated in blocks with the single-ordering kernel.  Detection
+    is built from integer counts, the curve is summed run by run in run
+    order, and APFD and time to fault are averaged over per-run values, so
+    every bit of the report is that of evaluating the runs one at a time,
+    whatever the block size.
     """
-    killable = km.killable_mask
-    n_killable = int(killable.sum())
+    n_killable = int(km.killable_mask.sum())
     if n_killable == 0:
         raise ApplicabilityError("baseline is undefined: no killable mutants")
     n = len(km.mr_ids)
@@ -425,34 +447,23 @@ def random_baseline(
         orders = (np.random.default_rng(seed + r).permutation(n) for r in range(runs))
         count = runs
 
-    # killing (MR, mutant) pairs, grouped by killable mutant in mutant order
-    mutant, killer = np.nonzero(km.kills[:, killable].T)
-    starts = np.flatnonzero(np.diff(mutant, prepend=-1))
-    block = max(1, RUN_BLOCK_ELEMENTS // killer.size)
+    groups = _kill_groups(km)
+    block = max(1, RUN_BLOCK_ELEMENTS // max(groups[0].size, n))
     curve_sum = np.zeros(n)
     # killable mutants x positions: runs whose first kill comes at that position
     first_counts = np.zeros((n_killable, n), dtype=np.int64)
-    apfd_values = []
-    time_values = []
+    apfd_values: list[float] = []
+    time_values: list[float] = []
     for _ in range(0, count, block):
         perms = np.array(list(itertools.islice(orders, block)))
-        position = np.argsort(perms, axis=1)    # runs x MRs: where each MR runs
-        # runs x killable mutants: 0-based position of the first killer
-        first = np.minimum.reduceat(position[:, killer], starts, axis=1)
+        first = _first_kills(perms, groups)
         first_counts += _row_counts(first.T, n)
-        for found in np.cumsum(_row_counts(first, n), axis=1):
-            curve_sum += 100.0 * found / n_killable
-        apfd_values.extend(
-            _apfd_value(int(s), n, n_killable) for s in first.sum(axis=1) + n_killable
-        )
-        cumulative = np.cumsum(km.exec_time[perms], axis=1)
-        time_values.extend(
-            float(np.mean(t)) for t in np.take_along_axis(cumulative, first, axis=1)
-        )
+        for curve in _run_curves(first, n):
+            curve_sum += curve
+        apfd_values += _run_apfds(first, n)
+        time_values += _run_times(perms, first, km)
 
-    detection_count = np.zeros(km.kills.shape, dtype=np.int64)
-    detection_count[:, killable] = np.cumsum(first_counts, axis=1).T
-    mean_curve = FaultDetectionCurve(tuple(float(p) for p in curve_sum / count))
+    mean_curve = _curve(curve_sum / count)
     return EvalReport(
         kind="averaged",
         ordering=None,
@@ -464,7 +475,7 @@ def random_baseline(
         avg_time_to_fault=float(np.mean(time_values)),
         mutant_ids=km.mutant_ids,
         unkillable=km.unkillable_ids,
-        detection=detection_count / count,
+        detection=_detection_counts(first_counts, km) / count,
         runs=count,
         seed=None if exhaustive else seed,
     )
@@ -504,51 +515,38 @@ EXACT_LIMIT = 20
 
 
 def permutation_test(
-    a: Sequence[float],
-    b: Sequence[float],
+    a: Sequence[float] | Sequence[Sequence[float]],
+    b: Sequence[float] | Sequence[Sequence[float]],
     alternative: str = "greater",
     iterations: int = 10000,
     seed: int = 0,
-) -> float:
+) -> float | list[float]:
     """P-value for the mean paired difference of *a* over *b*.
 
     All 2^n sign assignments are enumerated when n <= 20; otherwise the null
     distribution is sampled ``iterations`` times with the given seed (with
     the +1 correction so the estimate can never be zero).
-    """
-    return permutation_tests([a], [b], alternative, iterations, seed)[0]
 
-
-def permutation_tests(
-    rows_a: Sequence[Sequence[float]],
-    rows_b: Sequence[Sequence[float]],
-    alternative: str = "greater",
-    iterations: int = 10000,
-    seed: int = 0,
-) -> list[float]:
-    """``permutation_test`` of each row of *rows_a* over the same row of *rows_b*.
-
-    Every pair has the same length n, so all pairs share one null: the sign
-    matrix is drawn (or, in exact mode, each chunk of it is built) once and
-    applied to every row's differences with its own matrix-vector product.
-    Each p-value is bit-identical to a separate ``permutation_test`` call.
+    Observations run along the first axis.  Two-dimensional *a* and *b*
+    (n x k) hold k pairs of samples, one per column, and give a list of k
+    p-values.  The pairs share one null: the sign matrix is drawn (or, in
+    exact mode, each chunk of it is built) once and applied to every
+    column's differences with its own matrix-vector product, so each p-value
+    is bit-identical to testing its column alone.
     """
     if alternative not in ALTERNATIVES:
         raise InputError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
-    if len(rows_a) != len(rows_b):
-        raise InputError("need as many treatment rows as baseline rows")
-    diffs = []
-    for a, b in zip(rows_a, rows_b):
+    try:
         left = np.asarray(a, dtype=float)
         right = np.asarray(b, dtype=float)
-        if left.ndim != 1 or right.ndim != 1 or left.size == 0 or left.size != right.size:
-            raise InputError("paired samples must be equal-length non-empty vectors")
-        diffs.append(left - right)
-    if len({d.size for d in diffs}) > 1:
-        raise InputError("every pair of rows must have the same length")
-    if not diffs:
-        return []
-    n = diffs[0].size
+    except ValueError as exc:
+        raise InputError(f"paired samples must be numeric arrays: {exc}") from None
+    if left.shape != right.shape or left.ndim not in (1, 2) or not len(left):
+        raise InputError("paired samples must be equal-shape non-empty vectors or n x k matrices")
+    difference = left - right
+    n = len(difference)
+    # each column gets its own contiguous vector, as a lone pair would
+    diffs = [difference] if difference.ndim == 1 else [c.copy() for c in difference.T]
 
     def count_extreme(stats: np.ndarray, observed: float) -> int:
         if alternative == "greater":
@@ -572,18 +570,19 @@ def permutation_tests(
                     # itself bit-for-bit, so the exact p-value is at least 1/2^n
                     observed[i] = float(stats[0])
                 extreme[i] += count_extreme(stats, observed[i])
-        return [e / total for e in extreme]
-
-    if iterations < 1:
-        raise InputError(f"iterations must be >= 1, got {iterations}")
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(iterations, n)) * 2.0 - 1.0
-    # one GEMV per row over the whole matrix: a GEMM over all rows, or the
-    # sign rows streamed in blocks, can change the last bits of the statistics
-    return [
-        (count_extreme(signs @ d / n, float(np.ones(n) @ d / n)) + 1) / (iterations + 1)
-        for d in diffs
-    ]
+        p_values = [e / total for e in extreme]
+    else:
+        if iterations < 1:
+            raise InputError(f"iterations must be >= 1, got {iterations}")
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(iterations, n)) * 2.0 - 1.0
+        # one GEMV per column over the whole matrix: a GEMM over all columns,
+        # or the sign rows streamed in blocks, can change the last bits
+        p_values = [
+            (count_extreme(signs @ d / n, float(np.ones(n) @ d / n)) + 1) / (iterations + 1)
+            for d in diffs
+        ]
+    return p_values[0] if difference.ndim == 1 else p_values
 
 
 def relative_improvement(

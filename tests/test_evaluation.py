@@ -25,7 +25,6 @@ from mrprior.evaluation import (
     load_kill_matrix,
     load_times,
     permutation_test,
-    permutation_tests,
     random_baseline,
     relative_improvement,
     report_from_dict,
@@ -143,25 +142,48 @@ def oracle_permutation_test(a, b, alternative="greater", iterations=10000, seed=
     return (extreme + 1) / (iterations + 1)
 
 
-def oracle_random_baseline(km, runs, seed):
-    """Evaluate each seed + r ordering on its own and average as the report does."""
+def oracle_one_pass(perm, km):
+    """One ordering (MR indices) evaluated as before orderings ran as blocks:
+    cumulative kills per prefix and argmax first kills.  Returns curve points,
+    detection matrix, APFD and time to fault."""
+    n = len(km.mr_ids)
+    killed = np.cumsum(km.kills[list(perm)].astype(int), axis=0) > 0
+    first = np.where(killed[-1], killed.argmax(axis=0) + 1, 0)
+    detection = killed.astype(float)
+    killable = km.killable_mask
+    n_killable = int(killable.sum())
+    curve = tuple(float(100.0 * k / n_killable) for k in detection[:, killable].sum(axis=1))
+    found = first[first > 0]
+    apfd_value = 1.0 - int(found.sum()) / (n * found.size) + 1.0 / (2 * n)
+    time = float(np.mean(np.cumsum(km.exec_time[list(perm)])[found - 1]))
+    return curve, detection, apfd_value, time
+
+
+def oracle_mean(perms, km):
+    """Average oracle_one_pass over orderings as the report does: the curve
+    summed in run order, APFD and time to fault by np.mean over the runs."""
     curve_sum = np.zeros(len(km.mr_ids))
     detection_sum = np.zeros(km.kills.shape)
     apfds = []
     times = []
-    for r in range(runs):
-        perm = np.random.default_rng(seed + r).permutation(len(km.mr_ids))
-        report = evaluate_ordering([km.mr_ids[i] for i in perm], km)
-        curve_sum += np.array(report.curve.points)
-        detection_sum += report.detection
-        apfds.append(report.apfd)
-        times.append(report.avg_time_to_fault)
+    for perm in perms:
+        curve, detection, apfd_value, time = oracle_one_pass(perm, km)
+        curve_sum += np.array(curve)
+        detection_sum += detection
+        apfds.append(apfd_value)
+        times.append(time)
     return (
-        tuple(float(p) for p in curve_sum / runs),
-        detection_sum / runs,
+        tuple(float(p) for p in curve_sum / len(perms)),
+        detection_sum / len(perms),
         float(np.mean(apfds)),
         float(np.mean(times)),
     )
+
+
+def oracle_random_baseline(km, runs, seed):
+    """Evaluate each seed + r ordering on its own and average as the report does."""
+    n = len(km.mr_ids)
+    return oracle_mean([np.random.default_rng(seed + r).permutation(n) for r in range(runs)], km)
 
 
 # --- loaders -----------------------------------------------------------------
@@ -586,19 +608,23 @@ class TestRandomBaselineBlocks:
         times[[0, 5]] = 0.0
         dense = synth_kill_matrix(7, 25, kill_prob=[0.9, 0.1, 0.5, 0.0, 0.3, 0.7, 0.2],
                                   times=(0.1, 9.0), seed=8)
+        # fewer killing pairs than MRs: blocks are sized by the MR count
+        scarce = np.zeros((30, 6), dtype=bool)
+        scarce[[2, 9, 9, 21], [0, 1, 4, 4]] = True
         return [
             km_from(sparse, times),
             km_from(sparse, [0.0] * 12),
             dense,
+            km_from(scarce, rng.uniform(0.0, 2.0, size=30)),
         ]
 
     @pytest.mark.parametrize("runs_per_block", [None, 4])
     def test_bits_match_loop_oracle(self, monkeypatch, runs_per_block):
         for km in self.matrices():
-            pairs = int(km.kills.sum())
+            width = max(int(km.kills.sum()), len(km.mr_ids))
             if runs_per_block is not None:
-                monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", pairs * runs_per_block)
-            block = max(1, evaluation.RUN_BLOCK_ELEMENTS // pairs)
+                monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", width * runs_per_block)
+            block = max(1, evaluation.RUN_BLOCK_ELEMENTS // width)
             for runs in sorted({1, max(1, block - 1), block, block + 1, 1000}):
                 report = random_baseline(km, runs=runs, seed=17)
                 curve, detection, apfd_mean, time_mean = oracle_random_baseline(km, runs, 17)
@@ -608,24 +634,47 @@ class TestRandomBaselineBlocks:
                 assert report.avg_time_to_fault == time_mean, (runs, block)
                 assert report.runs == runs
 
+    def test_block_width_counts_mrs(self, monkeypatch):
+        km = self.matrices()[3]
+        assert int(km.kills.sum()) < len(km.mr_ids)
+        sizes = []
+        real = evaluation._first_kills
+
+        def recording(perms, groups):
+            sizes.append(len(perms))
+            return real(perms, groups)
+
+        monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", len(km.mr_ids) * 4)
+        monkeypatch.setattr(evaluation, "_first_kills", recording)
+        random_baseline(km, runs=10, seed=3)
+        assert sizes == [4, 4, 2]
+
+    def test_single_ordering_matches_oracle(self):
+        rng = np.random.default_rng(61)
+        for km in self.matrices():
+            for _ in range(20):
+                perm = rng.permutation(len(km.mr_ids))
+                order = [km.mr_ids[i] for i in perm]
+                report = evaluate_ordering(order, km)
+                curve, detection, apfd_value, time = oracle_one_pass(perm, km)
+                assert report.curve.points == curve
+                assert report.detection.dtype == detection.dtype
+                assert np.array_equal(report.detection, detection)
+                assert report.apfd == apfd_value == apfd(order, km)
+                assert report.avg_time_to_fault == time == avg_time_to_fault(order, km)
+                assert report.first_positions == oracle_positions(order, km)
+                assert detection_curve(order, km) == report.curve
+
     def test_exhaustive_matches_loop_over_permutations(self, monkeypatch):
         km = self.matrices()[2]
         monkeypatch.setattr(evaluation, "RUN_BLOCK_ELEMENTS", int(km.kills.sum()) * 7)
         report = random_baseline(km, exhaustive=True)
-        curve_sum = np.zeros(7)
-        detection_sum = np.zeros(km.kills.shape)
-        apfds, times = [], []
-        for perm in itertools.permutations(km.mr_ids):
-            single = evaluate_ordering(list(perm), km)
-            curve_sum += np.array(single.curve.points)
-            detection_sum += single.detection
-            apfds.append(single.apfd)
-            times.append(single.avg_time_to_fault)
+        curve, detection, apfd_mean, time_mean = oracle_mean(list(itertools.permutations(range(7))), km)
         assert report.runs == 5040
-        assert report.curve.points == tuple(float(p) for p in curve_sum / 5040)
-        assert np.array_equal(report.detection, detection_sum / 5040)
-        assert report.apfd == float(np.mean(apfds))
-        assert report.avg_time_to_fault == float(np.mean(times))
+        assert report.curve.points == curve
+        assert np.array_equal(report.detection, detection)
+        assert report.apfd == apfd_mean
+        assert report.avg_time_to_fault == time_mean
 
 
 class TestCoverageGreedy:
@@ -790,55 +839,60 @@ class TestPermutationTest:
 
 
 class TestSharedNull:
-    """Batched p-values must equal the single-pair test bit for bit."""
+    """Column-batched p-values must equal the single-pair test bit for bit."""
 
-    def rows(self, n, count, seed):
+    def columns(self, n, count, seed):
         # detection-like fractions: many ties, some exact zeros
         rng = np.random.default_rng(seed)
         base = rng.integers(0, 101, size=(count, n)) / 100.0
         treat = np.clip(base + rng.integers(-10, 25, size=(count, n)) / 100.0, 0.0, 1.0)
         treat[0] = base[0]
-        return treat, base
+        # n x count, one pair per column, as compare passes detection matrices
+        return treat.T, base.T
 
     @pytest.mark.parametrize("n", [21, 40, 500])
     @pytest.mark.parametrize("iterations", [1, 7, 10000])
     def test_monte_carlo_bits_match_single_pair(self, n, iterations):
         for seed in (0, 7, 2023):
-            treat, base = self.rows(n, 3, seed + n)
+            treat, base = self.columns(n, 3, seed + n)
             for alternative in ("greater", "two-sided"):
-                got = permutation_tests(treat, base, alternative, iterations, seed)
+                got = permutation_test(treat, base, alternative, iterations, seed)
                 want = [
                     oracle_permutation_test(a, b, alternative, iterations, seed)
-                    for a, b in zip(treat, base)
+                    for a, b in zip(treat.T, base.T)
                 ]
                 assert got == want
                 assert got[0] == 1.0
 
     @pytest.mark.parametrize("n", [1, 5, 17, 20])
     def test_exact_bits_match_single_pair(self, n):
-        treat, base = self.rows(n, 4, n)
+        treat, base = self.columns(n, 4, n)
         for alternative in ("greater", "two-sided"):
-            got = permutation_tests(treat, base, alternative, iterations=0)
-            want = [oracle_permutation_test(a, b, alternative) for a, b in zip(treat, base)]
+            got = permutation_test(treat, base, alternative, iterations=0)
+            want = [oracle_permutation_test(a, b, alternative) for a, b in zip(treat.T, base.T)]
             assert got == want
 
-    def test_single_pair_is_the_one_row_case(self):
-        treat, base = self.rows(30, 2, 5)
-        for a, b in zip(treat, base):
-            assert permutation_test(a, b, iterations=500, seed=3) == permutation_tests(
-                [a], [b], iterations=500, seed=3
-            )[0]
+    def test_single_pair_is_the_one_column_case(self):
+        treat, base = self.columns(30, 2, 5)
+        for a, b in zip(treat.T, base.T):
+            alone = permutation_test(a, b, iterations=500, seed=3)
+            assert isinstance(alone, float)
+            assert alone == permutation_test(a[:, None], b[:, None], iterations=500, seed=3)[0]
 
     def test_input_validation(self):
-        assert permutation_tests([], []) == []
+        assert permutation_test(np.zeros((3, 0)), np.zeros((3, 0))) == []
         with pytest.raises(InputError):
-            permutation_tests([[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])
+            permutation_test([[1.0, 2.0]], [[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(InputError):
-            permutation_tests([[1.0, 2.0], [1.0]], [[1.0, 2.0], [1.0]])
+            permutation_test([[1.0, 2.0], [1.0]], [[1.0, 2.0], [1.0]])
         with pytest.raises(InputError):
-            permutation_tests([[1.0]], [[1.0]], alternative="less")
+            permutation_test(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
         with pytest.raises(InputError):
-            permutation_tests([[0.5] * 21], [[0.0] * 21], iterations=0)
+            permutation_test(np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(InputError):
+            permutation_test([[1.0]], [[1.0]], alternative="less")
+        with pytest.raises(InputError):
+            permutation_test([[0.5]] * 21, [[0.0]] * 21, iterations=0)
 
 
 class TestRelativeImprovement:

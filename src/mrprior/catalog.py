@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Attribute, Dataset
+from .dataset import Attribute, Dataset, parse_number
 from .errors import ApplicabilityError, InputError
 
 # transform name -> requires a seed
@@ -107,7 +107,7 @@ def _parse_params(path: str, lineno: int, tokens: list[str]) -> dict:
                     f"got {value!r}"
                 ) from None
         elif key in _FLOAT_PARAMS:
-            number = _safe_float(value)
+            number = parse_number(value)
             if number is None:
                 raise InputError(
                     f"{path}: line {lineno}: parameter {key!r} expects a number, got {value!r}"
@@ -116,14 +116,6 @@ def _parse_params(path: str, lineno: int, tokens: list[str]) -> dict:
         else:
             params[key] = value
     return params
-
-
-def _safe_float(text: str) -> float | None:
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
 
 
 def load_catalog(path: str) -> list[MrSpec]:
@@ -277,14 +269,12 @@ def _t_permute_attributes(mr: MrSpec, source: Dataset) -> Dataset:
     for i, j in enumerate(perm):
         reordered[positions[i]] = positions[j]
     attributes = tuple(source.attributes[k] for k in reordered)
-    rows = tuple(tuple(row[k] for k in reordered) for row in source.rows)
-    return Dataset(source.name, attributes, rows, source.class_index)
+    columns = tuple(source.columns[k] for k in reordered)
+    return Dataset(source.name, attributes, columns, source.class_index)
 
 
 def _t_permute_instances(mr: MrSpec, source: Dataset) -> Dataset:
-    order = _rng(mr).permutation(source.n_rows)
-    rows = tuple(source.rows[i] for i in order)
-    return source.replace(rows=rows)
+    return source.take(_rng(mr).permutation(source.n_rows))
 
 
 def _t_affine_numeric(mr: MrSpec, source: Dataset) -> Dataset:
@@ -311,15 +301,12 @@ def _t_affine_numeric(mr: MrSpec, source: Dataset) -> Dataset:
         targets = list(numeric)
     if not targets:
         raise ApplicabilityError(f"MR {mr.id}: no numeric attributes to transform")
-    target_set = set(targets)
-    rows = tuple(
-        tuple(
-            cell if cell is None or j not in target_set else scale * cell + shift
-            for j, cell in enumerate(row)
-        )
-        for row in source.rows
-    )
-    return source.replace(rows=rows)
+    columns = list(source.columns)
+    # an overflow to inf is reported by the Dataset check, with its row
+    with np.errstate(over="ignore"):
+        for j in set(targets):
+            columns[j] = scale * columns[j] + shift
+    return source.replace(columns=tuple(columns))
 
 
 def _fresh_attribute_name(source: Dataset, base: str) -> str:
@@ -332,12 +319,7 @@ def _fresh_attribute_name(source: Dataset, base: str) -> str:
     return f"{base}{k}"
 
 
-def _typed_constant(value: str):
-    number = _safe_float(value)
-    return number if number is not None else value
-
-
-def _insert_attribute(source: Dataset, attr: Attribute, cells: list) -> Dataset:
+def _insert_attribute(source: Dataset, attr: Attribute, column) -> Dataset:
     # keep the class in its final position when it is last; otherwise append
     if source.class_index is not None:
         pos = source.class_index
@@ -346,20 +328,17 @@ def _insert_attribute(source: Dataset, attr: Attribute, cells: list) -> Dataset:
         pos = len(source.attributes)
         class_index = None
     attributes = source.attributes[:pos] + (attr,) + source.attributes[pos:]
-    rows = tuple(
-        row[:pos] + (cells[i],) + row[pos:] for i, row in enumerate(source.rows)
-    )
-    return Dataset(source.name, attributes, rows, class_index)
+    columns = source.columns[:pos] + (column,) + source.columns[pos:]
+    return Dataset(source.name, attributes, columns, class_index)
 
 
 def _t_add_uninformative(mr: MrSpec, source: Dataset) -> Dataset:
-    value = _typed_constant(str(mr.params["value"]))
+    value = str(mr.params["value"])
     name = _fresh_attribute_name(source, str(mr.params.get("name", "uninformative")))
-    if isinstance(value, float):
-        attr = Attribute(name)
-    else:
-        attr = Attribute(name, (value,))
-    return _insert_attribute(source, attr, [value] * source.n_rows)
+    number = parse_number(value)
+    if number is None:
+        return _insert_attribute(source, Attribute(name, (value,)), np.zeros(source.n_rows, int))
+    return _insert_attribute(source, Attribute(name), np.full(source.n_rows, number))
 
 
 def _t_add_informative(mr: MrSpec, source: Dataset) -> Dataset:
@@ -375,23 +354,16 @@ def _t_add_informative(mr: MrSpec, source: Dataset) -> Dataset:
         )
     name = _fresh_attribute_name(source, str(mr.params.get("name", "informative")))
     outputs = [mapping[v] for v in class_attr.values]
-    numeric = all(_safe_float(v) is not None for v in outputs)
-    cells = []
-    for row in source.rows:
-        label = row[class_index]
-        if label is None:
-            cells.append(None)
-        else:
-            cells.append(_safe_float(mapping[label]) if numeric else mapping[label])
-    if numeric:
+    numbers = [parse_number(v) for v in outputs]
+    if None not in numbers:
+        # a trailing NaN is what a missing label (code -1) picks
         attr = Attribute(name)
+        lookup = np.array(numbers + [math.nan])
     else:
-        distinct: list[str] = []
-        for v in outputs:
-            if v not in distinct:
-                distinct.append(v)
-        attr = Attribute(name, tuple(distinct))
-    return _insert_attribute(source, attr, cells)
+        distinct = tuple(dict.fromkeys(outputs))
+        attr = Attribute(name, distinct)
+        lookup = np.array([distinct.index(v) for v in outputs] + [-1])
+    return _insert_attribute(source, attr, lookup[source.columns[class_index]])
 
 
 def _t_duplicate_instances(mr: MrSpec, source: Dataset) -> Dataset:
@@ -400,8 +372,7 @@ def _t_duplicate_instances(mr: MrSpec, source: Dataset) -> Dataset:
     count = round_half_up(float(mr.params["fraction"]) * source.n_rows)
     count = min(count, source.n_rows)
     chosen = _rng(mr).choice(source.n_rows, size=count, replace=False)
-    rows = source.rows + tuple(source.rows[i] for i in chosen)
-    return source.replace(rows=rows)
+    return source.take(np.concatenate([np.arange(source.n_rows), chosen]))
 
 
 def _t_remove_instances(mr: MrSpec, source: Dataset) -> Dataset:
@@ -409,9 +380,9 @@ def _t_remove_instances(mr: MrSpec, source: Dataset) -> Dataset:
         raise ApplicabilityError(f"MR {mr.id}: cannot remove rows from an empty dataset")
     count = round_half_up(float(mr.params["fraction"]) * source.n_rows)
     count = min(count, source.n_rows)
-    drop = set(_rng(mr).choice(source.n_rows, size=count, replace=False).tolist())
-    rows = tuple(row for i, row in enumerate(source.rows) if i not in drop)
-    return source.replace(rows=rows)
+    keep = np.ones(source.n_rows, dtype=bool)
+    keep[_rng(mr).choice(source.n_rows, size=count, replace=False)] = False
+    return source.take(np.flatnonzero(keep))
 
 
 def _t_remove_class(mr: MrSpec, source: Dataset) -> Dataset:
@@ -427,8 +398,12 @@ def _t_remove_class(mr: MrSpec, source: Dataset) -> Dataset:
     values = tuple(v for v in class_attr.values if v != label)
     attributes = list(source.attributes)
     attributes[class_index] = Attribute(class_attr.name, values)
-    rows = tuple(row for row in source.rows if row[class_index] != label)
-    return Dataset(source.name, tuple(attributes), rows, class_index)
+    removed = class_attr.values.index(label)
+    kept = np.flatnonzero(source.columns[class_index] != removed)
+    columns = [c[kept] for c in source.columns]
+    codes = columns[class_index]
+    columns[class_index] = codes - (codes > removed)
+    return Dataset(source.name, tuple(attributes), tuple(columns), class_index)
 
 
 def _t_relabel_classes(mr: MrSpec, source: Dataset) -> Dataset:
@@ -441,14 +416,11 @@ def _t_relabel_classes(mr: MrSpec, source: Dataset) -> Dataset:
         raise ApplicabilityError(
             f"MR {mr.id}: map must be a permutation of the class value-set"
         )
-    rows = tuple(
-        tuple(
-            mapping[cell] if j == class_index and cell is not None else cell
-            for j, cell in enumerate(row)
-        )
-        for row in source.rows
-    )
-    return source.replace(rows=rows)
+    # a trailing -1 is what a missing label (code -1) picks
+    lookup = np.array([class_attr.values.index(mapping[v]) for v in class_attr.values] + [-1])
+    columns = list(source.columns)
+    columns[class_index] = lookup[columns[class_index]]
+    return source.replace(columns=tuple(columns))
 
 
 def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
@@ -457,27 +429,24 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
     count = int(mr.params["count"])
     rng = _rng(mr)
     ranges = []
-    for j, attr in enumerate(source.attributes):
+    for attr, column in zip(source.attributes, source.columns):
         if attr.is_numeric:
-            observed = [v for v in source.column(j) if v is not None]
-            if not observed:
+            observed = column[~np.isnan(column)]
+            if observed.size == 0:
                 raise ApplicabilityError(
                     f"MR {mr.id}: attribute {attr.name!r} has no observed values to sample from"
                 )
-            ranges.append((min(observed), max(observed)))
+            ranges.append((observed.min(), observed.max()))
         else:
             ranges.append(None)
-    new_rows = []
-    for _ in range(count):
-        row = []
-        for j, attr in enumerate(source.attributes):
-            if attr.is_numeric:
-                lo, hi = ranges[j]
-                row.append(float(rng.uniform(lo, hi)))
-            else:
-                row.append(attr.values[int(rng.integers(len(attr.values)))])
-        new_rows.append(tuple(row))
-    return source.replace(rows=source.rows + tuple(new_rows))
+    # draws stay row by row, attribute by attribute, so a seed keeps its rows
+    new_rows = [
+        [rng.uniform(*ranges[j]) if attr.is_numeric else rng.integers(len(attr.values))
+         for j, attr in enumerate(source.attributes)]
+        for _ in range(count)
+    ]
+    columns = tuple(np.concatenate([c, a]) for c, a in zip(source.columns, zip(*new_rows)))
+    return source.replace(columns=columns)
 
 
 _HANDLERS = {

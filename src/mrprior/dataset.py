@@ -1,8 +1,10 @@
 """Tabular dataset model plus CSV/ARFF readers and writers.
 
-Cells are stored as ``float`` (numeric), ``str`` (nominal) or ``None``
-(missing).  Datasets are immutable after construction: rows are tuples of
-tuples, attribute metadata is frozen.
+A dataset holds one read-only numpy array per attribute: float64 for a
+numeric attribute (NaN marks a missing cell) and int64 codes into the
+value-set for a nominal one (-1 marks a missing cell).  Datasets are
+immutable after construction and validated once, a whole column at a time.
+Writers and tests read cells row by row through ``Dataset.rows``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .errors import ApplicabilityError, InputError
 MISSING_TOKENS = ("", "?")
 
 
-def _parse_number(text: str) -> float | None:
+def parse_number(text: str) -> float | None:
     """Return the finite float value of *text*, or None when it is not one."""
     try:
         value = float(text)
@@ -56,11 +58,19 @@ class Attribute:
                 raise InputError(f"attribute {self.name!r}: duplicate nominal values")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Named attributes, one read-only column array per attribute.
+
+    Numeric columns are float64 with NaN for a missing cell; nominal columns
+    are int64 codes into ``attr.values`` with -1 for a missing cell.  The
+    columns are copied on construction, so later changes to the arrays
+    passed in do not reach the dataset.
+    """
+
     name: str
     attributes: tuple[Attribute, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[np.ndarray, ...]
     class_index: int | None = None
 
     def __post_init__(self) -> None:
@@ -72,39 +82,55 @@ class Dataset:
             raise InputError(f"dataset {self.name!r}: duplicate attribute names")
         if self.class_index is not None and not 0 <= self.class_index < n_attrs:
             raise InputError(f"dataset {self.name!r}: class_index {self.class_index} out of range")
-        for r, row in enumerate(self.rows):
-            if len(row) != n_attrs:
-                raise InputError(
-                    f"dataset {self.name!r}: row {r} has {len(row)} cells, expected {n_attrs}"
-                )
-            for c, cell in enumerate(row):
-                if cell is None:
-                    continue
-                attr = self.attributes[c]
-                if attr.is_numeric:
-                    if not isinstance(cell, float) or not math.isfinite(cell):
-                        raise InputError(
-                            f"dataset {self.name!r}: row {r}, column {attr.name!r}: "
-                            f"expected a finite number, got {cell!r}"
-                        )
-                elif cell not in attr.values:
-                    raise InputError(
-                        f"dataset {self.name!r}: row {r}, column {attr.name!r}: "
-                        f"value {cell!r} not in declared value-set"
-                    )
+        if len(self.columns) != n_attrs:
+            raise InputError(
+                f"dataset {self.name!r}: {len(self.columns)} columns, expected {n_attrs}"
+            )
+        columns = []
+        for attr, column in zip(self.attributes, self.columns):
+            array = np.array(column, dtype=np.float64 if attr.is_numeric else np.int64)
+            array.flags.writeable = False
+            columns.append(array)
+        object.__setattr__(self, "columns", tuple(columns))
+        lengths = sorted({len(c) for c in columns})
+        if len(lengths) > 1:
+            raise InputError(f"dataset {self.name!r}: columns have unequal lengths {lengths}")
+        bad = np.column_stack([
+            np.isinf(column) if attr.is_numeric else (column < -1) | (column >= len(attr.values))
+            for attr, column in zip(self.attributes, columns)
+        ])
+        if bad.any():
+            # argmax of the C-ordered mask is the first bad cell in row order
+            r, j = divmod(int(bad.argmax()), n_attrs)
+            attr, cell = self.attributes[j], columns[j][r]
+            if attr.is_numeric:
+                problem = f"expected a finite number, got {float(cell)!r}"
+            else:
+                problem = f"code {int(cell)} not in declared value-set"
+            raise InputError(
+                f"dataset {self.name!r}: row {r}, column {attr.name!r}: {problem}"
+            )
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """Cells row by row: ``float``, ``str`` or None (missing)."""
+        cells = []
+        for attr, column in zip(self.attributes, self.columns):
+            if attr.is_numeric:
+                cells.append([None if math.isnan(v) else v for v in column.tolist()])
+            else:
+                cells.append([None if c < 0 else attr.values[c] for c in column.tolist()])
+        return tuple(zip(*cells))
 
     @property
     def class_attribute(self) -> Attribute | None:
         if self.class_index is None:
             return None
         return self.attributes[self.class_index]
-
-    def column(self, index: int) -> tuple:
-        return tuple(row[index] for row in self.rows)
 
     def non_class_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.attributes)) if i != self.class_index)
@@ -119,15 +145,15 @@ class Dataset:
         fields = {
             "name": self.name,
             "attributes": self.attributes,
-            "rows": self.rows,
+            "columns": self.columns,
             "class_index": self.class_index,
         }
         fields.update(changes)
         return Dataset(**fields)
 
-
-def _freeze_rows(rows: Iterable[Sequence]) -> tuple[tuple, ...]:
-    return tuple(tuple(row) for row in rows)
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The dataset made of the rows at the indices *rows*, in that order."""
+        return self.replace(columns=tuple(c[rows] for c in self.columns))
 
 
 def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int) -> int:
@@ -177,48 +203,44 @@ def load_csv(
         body = records
 
     n_cols = len(names)
-    cells: list[list[str | None]] = []
     for lineno, record in enumerate(body, start=2 if header else 1):
         if len(record) != n_cols:
             raise InputError(
                 f"{path}: line {lineno}: expected {n_cols} fields, got {len(record)}"
             )
-        cells.append([None if c.strip() in MISSING_TOKENS else c.strip() for c in record])
 
     attributes = []
-    for j, col_name in enumerate(names):
-        observed = [row[j] for row in cells if row[j] is not None]
-        if observed and all(_parse_number(v) is not None for v in observed):
+    columns = []
+    for col_name, raw in zip(names, list(zip(*body)) or [()] * n_cols):
+        texts = [None if (t := cell.strip()) in MISSING_TOKENS else t for cell in raw]
+        numbers = _numeric_column(texts)
+        if numbers is not None:
+            # an all-missing column is numeric too: there is nothing to enumerate
             attributes.append(Attribute(col_name))
+            columns.append(numbers)
         else:
-            value_set: list[str] = []
-            for v in observed:
-                if v not in value_set:
-                    value_set.append(v)
-            if not value_set:
-                # all-missing column: call it numeric, there is nothing to enumerate
-                attributes.append(Attribute(col_name))
-                continue
-            attributes.append(Attribute(col_name, tuple(value_set)))
-
-    rows = []
-    for row in cells:
-        typed = []
-        for j, cell in enumerate(row):
-            if cell is None:
-                typed.append(None)
-            elif attributes[j].is_numeric:
-                typed.append(_parse_number(cell))
-            else:
-                typed.append(cell)
-        rows.append(tuple(typed))
+            value_set = tuple(dict.fromkeys(t for t in texts if t is not None))
+            codes = {v: i for i, v in enumerate(value_set)}
+            attributes.append(Attribute(col_name, value_set))
+            columns.append([-1 if t is None else codes[t] for t in texts])
 
     class_index = None
     if class_column is not None:
         class_index = _resolve_column(path, names, class_column)
 
     ds_name = name if name is not None else path
-    return Dataset(ds_name, tuple(attributes), _freeze_rows(rows), class_index)
+    return Dataset(ds_name, tuple(attributes), tuple(columns), class_index)
+
+
+def _numeric_column(texts: list[str | None]) -> list[float] | None:
+    """Finite values of *texts* (NaN for None), or None at the first non-number."""
+    numbers = []
+    for text in texts:
+        value = math.nan if text is None else parse_number(text)
+        if value is None:
+            return None
+        numbers.append(value)
+    return numbers
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
@@ -275,7 +297,7 @@ def load_arff(
 
     relation = None
     attributes: list[Attribute] = []
-    rows: list[tuple] = []
+    rows: list[list] = []
     in_data = False
 
     for lineno, raw in enumerate(lines, start=1):
@@ -315,7 +337,8 @@ def load_arff(
         class_index = _resolve_column(path, names, class_column)
 
     ds_name = relation if relation else path
-    return Dataset(ds_name, tuple(attributes), _freeze_rows(rows), class_index)
+    columns = tuple(zip(*rows)) or ((),) * len(attributes)
+    return Dataset(ds_name, tuple(attributes), columns, class_index)
 
 
 def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
@@ -343,7 +366,8 @@ def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
     )
 
 
-def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribute]) -> tuple:
+def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribute]) -> list:
+    """Column cells of one data line: floats (NaN missing) or codes (-1 missing)."""
     fields = [_unquote(f) for f in _split_csv_line(line)]
     if len(fields) != len(attributes):
         raise InputError(
@@ -352,9 +376,9 @@ def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribut
     typed = []
     for attr, token in zip(attributes, fields):
         if token == "?":
-            typed.append(None)
+            typed.append(math.nan if attr.is_numeric else -1)
         elif attr.is_numeric:
-            value = _parse_number(token)
+            value = parse_number(token)
             if value is None:
                 raise InputError(
                     f"{path}: line {lineno}: attribute {attr.name!r} expects a number, "
@@ -367,8 +391,8 @@ def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribut
                     f"{path}: line {lineno}: value {token!r} not in value-set of "
                     f"attribute {attr.name!r}"
                 )
-            typed.append(token)
-    return tuple(typed)
+            typed.append(attr.values.index(token))
+    return typed
 
 
 def _arff_quote(name: str) -> str:
@@ -418,6 +442,21 @@ def _ordered_stat(values: np.ndarray, reducer) -> float:
     return float(reducer(np.sort(values)))
 
 
+def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
+    """A numeric column with its missing cells set to the mean of the others.
+
+    Returns (filled column, mean, population standard deviation) of the
+    observed cells, or None when no cell is observed.
+    """
+    missing = np.isnan(column)
+    observed = column[~missing]
+    if observed.size == 0:
+        return None
+    mean = _ordered_stat(observed, np.mean)
+    std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
+    return np.where(missing, mean, column), mean, std
+
+
 def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
     """Column-mean-imputed matrix of the numeric non-class attributes.
 
@@ -434,16 +473,13 @@ def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
     means = []
     stds = []
     for i in indices:
-        attr = dataset.attributes[i]
-        raw = dataset.column(i)
-        observed = np.array([v for v in raw if v is not None], dtype=float)
-        if observed.size == 0:
+        imputed = mean_imputed(dataset.columns[i])
+        if imputed is None:
             raise ApplicabilityError(
-                f"dataset {dataset.name!r}: attribute {attr.name!r} has no observed values"
+                f"dataset {dataset.name!r}: attribute {dataset.attributes[i].name!r} "
+                f"has no observed values"
             )
-        mean = _ordered_stat(observed, np.mean)
-        std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
-        filled = np.array([mean if v is None else v for v in raw], dtype=float)
+        filled, mean, std = imputed
         columns.append(filled)
         means.append(mean)
         stds.append(std)

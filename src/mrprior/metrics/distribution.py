@@ -84,10 +84,8 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
         )
     stats = []
     for i in indices:
-        observed = np.array(
-            [v for v in dataset.column(i) if v is not None], dtype=float
-        )
-        stats.append(_column_stats(dataset.attributes[i].name, observed))
+        column = dataset.columns[i]
+        stats.append(_column_stats(dataset.attributes[i].name, column[~np.isnan(column)]))
     # summing in attribute-name order keeps the totals bit-identical when
     # the columns are permuted
     by_name = sorted(stats, key=lambda s: s.name)

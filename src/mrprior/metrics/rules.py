@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import Dataset
+from ..dataset import Dataset, mean_imputed
 from ..errors import ApplicabilityError
 
 OP_EQ = "="
@@ -98,30 +98,21 @@ class _Selector:
 
 
 def _impute_columns(dataset: Dataset) -> list[np.ndarray]:
-    """Columns as arrays; numeric cells mean-imputed, nominal mode-imputed.
+    """Columns as arrays; numeric cells imputed by ``mean_imputed``, nominal by mode.
 
     Nominal columns come back as value-set index codes.  A column with no
     observed values falls back to 0.0 (numeric) or the first declared value
     (nominal); such columns produce no selectors anyway.
     """
     columns: list[np.ndarray] = []
-    for j, attr in enumerate(dataset.attributes):
-        raw = dataset.column(j)
+    for attr, column in zip(dataset.attributes, dataset.columns):
         if attr.is_numeric:
-            observed = [v for v in raw if v is not None]
-            mean = float(np.mean(observed)) if observed else 0.0
-            columns.append(np.array([mean if v is None else v for v in raw], dtype=float))
+            imputed = mean_imputed(column)
+            columns.append(np.zeros(column.size) if imputed is None else imputed[0])
         else:
-            codes = {v: i for i, v in enumerate(attr.values)}
-            observed_codes = [codes[v] for v in raw if v is not None]
-            if observed_codes:
-                counts = np.bincount(observed_codes, minlength=len(attr.values))
-                mode = int(counts.argmax())
-            else:
-                mode = 0
-            columns.append(
-                np.array([mode if v is None else codes[v] for v in raw], dtype=int)
-            )
+            observed = column[column >= 0]
+            counts = np.bincount(observed, minlength=len(attr.values))
+            columns.append(np.where(column < 0, counts.argmax(), column))
     return columns
 
 

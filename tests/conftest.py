@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,33 +18,32 @@ def make_dataset(columns, class_name=None, name="fixture"):
     missing.
     """
     attributes = []
+    arrays = []
     for col_name, cells in columns.items():
         observed = [c for c in cells if c is not None]
         if not observed or all(isinstance(c, (int, float)) for c in observed):
             attributes.append(Attribute(col_name))
+            arrays.append([math.nan if c is None else float(c) for c in cells])
         else:
-            values = []
-            for c in observed:
-                if c not in values:
-                    values.append(c)
-            attributes.append(Attribute(col_name, tuple(values)))
-    n_rows = len(next(iter(columns.values())))
-    rows = []
-    for r in range(n_rows):
-        row = []
-        for attr, cells in zip(attributes, columns.values()):
-            cell = cells[r]
-            if cell is None:
-                row.append(None)
-            elif attr.is_numeric:
-                row.append(float(cell))
-            else:
-                row.append(cell)
-        rows.append(tuple(row))
+            values = tuple(dict.fromkeys(observed))
+            attributes.append(Attribute(col_name, values))
+            arrays.append([-1 if c is None else values.index(c) for c in cells])
     class_index = None
     if class_name is not None:
         class_index = [a.name for a in attributes].index(class_name)
-    return Dataset(name, tuple(attributes), tuple(rows), class_index)
+    return Dataset(name, tuple(attributes), tuple(arrays), class_index)
+
+
+def from_rows(name, attributes, rows, class_index=None):
+    """Build a dataset from row tuples of float, str or None (missing) cells."""
+    columns = []
+    for j, attr in enumerate(attributes):
+        cells = [row[j] for row in rows]
+        if attr.is_numeric:
+            columns.append([math.nan if c is None else c for c in cells])
+        else:
+            columns.append([-1 if c is None else attr.values.index(c) for c in cells])
+    return Dataset(name, tuple(attributes), tuple(columns), class_index)
 
 
 def random_dataset(rng: np.random.Generator, n_rows=None, n_attrs=None, missing=0.0,

@@ -17,7 +17,7 @@ import pytest
 
 from mrprior.catalog import MrPair, MrSpec, apply_mr
 from mrprior.cli import main
-from mrprior.dataset import Attribute, Dataset, numeric_view, save_csv
+from mrprior.dataset import Attribute, numeric_view, save_csv
 from mrprior.errors import ApplicabilityError
 from mrprior.evaluation import (
     CoverageMatrix,
@@ -38,7 +38,7 @@ from mrprior.metrics.distribution import distribution_diversity
 from mrprior.metrics.rules import cn2_induce
 from mrprior.prioritizer import normalize, rank
 
-from conftest import make_dataset, random_dataset
+from conftest import from_rows, make_dataset, random_dataset
 
 ALL_METRICS = ("rule", "anomaly", "clustering", "distribution")
 
@@ -448,7 +448,7 @@ def striped_subject(n_rows, name):
         Attribute("y"),
         Attribute("cls", ("a", "b")),
     )
-    return Dataset(name, attrs, tuple(rows), class_index=3)
+    return from_rows(name, attrs, rows, class_index=3)
 
 
 PIPELINE_CATALOG = """\

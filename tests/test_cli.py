@@ -98,6 +98,18 @@ class TestPrioritize:
         assert rc == 3
         assert "not applicable" in capsys.readouterr().err
 
+    def test_affine_overflow_names_the_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "d.csv", "x\n1e300\n2\n")
+        write(tmp_path / "cat.txt", "MR1 big affine_numeric scale=1e10\n")
+        rc = main(["prioritize", "--dataset", "d.csv", "--catalog", "cat.txt",
+                   "--metric", "distribution", "--out", "r.json"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "not applicable: catalog could not be applied:\n"
+            "  MR1: dataset 'd.csv': row 0, column 'x': expected a finite number, got inf\n"
+        )
+
     def test_missing_metric_exits_2(self, workspace, capsys):
         rc = main(
             [

@@ -15,25 +15,36 @@ from mrprior import (
     save_csv,
 )
 
-from conftest import make_dataset
+from conftest import from_rows, make_dataset
 
 
 class TestDatasetModel:
     def test_rejects_duplicate_attribute_names(self):
         with pytest.raises(InputError):
-            Dataset("d", (Attribute("x"), Attribute("x")), (), None)
+            Dataset("d", (Attribute("x"), Attribute("x")), ((), ()), None)
 
     def test_rejects_ragged_rows(self):
-        with pytest.raises(InputError):
-            Dataset("d", (Attribute("x"),), ((1.0, 2.0),), None)
+        with pytest.raises(InputError, match="unequal lengths"):
+            Dataset("d", (Attribute("x"), Attribute("y")), ([1.0, 2.0], [1.0]), None)
 
     def test_rejects_value_outside_value_set(self):
-        with pytest.raises(InputError):
-            Dataset("d", (Attribute("c", ("a", "b")),), (("z",),), 0)
+        for code in (2, -2):
+            with pytest.raises(InputError, match=f"row 1, column 'c': code {code} not in"):
+                Dataset("d", (Attribute("c", ("a", "b")),), ([0, code],), 0)
 
     def test_rejects_non_finite_numeric_cell(self):
-        with pytest.raises(InputError):
-            Dataset("d", (Attribute("x"),), ((float("nan"),),), None)
+        for cell in (math.inf, -math.inf):
+            with pytest.raises(InputError, match=f"row 1, column 'x': .* got {cell!r}$"):
+                Dataset("d", (Attribute("x"),), ([1.0, cell],), None)
+
+    def test_reports_first_bad_cell_in_row_order(self):
+        with pytest.raises(InputError, match="row 1, column 'y'"):
+            Dataset("d", (Attribute("x"), Attribute("y")),
+                     ([0.0, 0.0, math.inf], [0.0, math.inf, 0.0]), None)
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(InputError, match="1 columns, expected 2"):
+            Dataset("d", (Attribute("x"), Attribute("y")), ([1.0],), None)
 
     def test_rejects_empty_value_set(self):
         with pytest.raises(InputError):
@@ -41,7 +52,18 @@ class TestDatasetModel:
 
     def test_rejects_out_of_range_class_index(self):
         with pytest.raises(InputError):
-            Dataset("d", (Attribute("x"),), (), 3)
+            Dataset("d", (Attribute("x"),), ((),), 3)
+
+    def test_columns_are_read_only_copies(self):
+        x = np.array([1.0, np.nan])
+        codes = np.array([1, -1])
+        d = Dataset("d", (Attribute("x"), Attribute("c", ("a", "b"))), (x, codes), None)
+        for column in d.columns:
+            with pytest.raises(ValueError):
+                column[0] = 0
+        x[0] = 5.0
+        codes[1] = 0
+        assert d.rows == ((1.0, "b"), (None, None))
 
 
 class TestCsv:
@@ -261,7 +283,7 @@ class TestNumericView:
         with pytest.raises(ApplicabilityError):
             numeric_view(make_dataset({"x": [None, None]}))
         with pytest.raises(ApplicabilityError):
-            numeric_view(Dataset("d", (Attribute("x"),), (), None))
+            numeric_view(from_rows("d", (Attribute("x"),), ()))
 
     def test_row_count_matches(self):
         rng = np.random.default_rng(5)

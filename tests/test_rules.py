@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrprior.catalog import MrSpec, apply_mr
-from mrprior.dataset import Attribute, Dataset
+from mrprior.dataset import Attribute
 from mrprior.errors import ApplicabilityError
 from mrprior.metrics.rules import (
     OP_EQ,
@@ -15,7 +15,7 @@ from mrprior.metrics.rules import (
     rule_diversity,
 )
 
-from conftest import make_dataset, random_dataset
+from conftest import from_rows, make_dataset, random_dataset
 
 LAPLACE_10_OF_10 = 11.0 / 12.0
 
@@ -137,11 +137,8 @@ class TestCn2Induce:
             cn2_induce(numeric_class)
 
     def test_rejects_empty_dataset(self):
-        empty = Dataset(
-            name="empty",
-            attributes=(Attribute("f"), Attribute("cls", ("a", "b"))),
-            rows=(),
-            class_index=1,
+        empty = from_rows(
+            "empty", (Attribute("f"), Attribute("cls", ("a", "b"))), (), class_index=1
         )
         with pytest.raises(ApplicabilityError):
             cn2_induce(empty)

@@ -1,13 +1,20 @@
 """Command line front end.
 
 Subcommands: prioritize, evaluate, baseline (random | coverage), compare,
-synth.  Options may come from a JSON config file (--config); explicit flags
-win on conflict.  Exit codes: 0 success, 2 bad input, 3 metric or transform
-not applicable, 4 internal invariant violation.
+synth.  ``build_parser`` declares every option once, with its type, choices
+and default; the metric defaults come from ``MetricParams``.  Options may
+also come from a JSON config file (--config): the subcommand's own parser
+reads its entries, with the same types and choices as the flags, and makes
+them that subcommand's defaults, so explicit flags win on conflict.  Switches
+take JSON true/false, only --thresholds takes an array, and positional
+arguments (baseline's mode) come from the command line.  Exit codes: 0
+success, 2 bad input, 3 metric or transform not applicable, 4 internal
+invariant violation.
 
 Every output file records the resolved master seed: JSON outputs carry it in
-their "header" object, CSV outputs in a leading ``#`` comment line.  Reruns
-with identical inputs and options produce byte-identical files.
+their "header" object, with every resolved, typed option; CSV outputs carry
+it in a leading ``#`` comment line.  Reruns with identical inputs and options
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .catalog import build_pairs, load_catalog, pair_from_files
@@ -37,43 +45,63 @@ from .evaluation import (
 from .metrics import METRICS, MetricParams, score_catalog
 from .prioritizer import normalize, rank, top_n
 
-DEFAULT_SEED = 0
+DEFAULT_SEED = MetricParams.seed
 
 
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str, kind: str = ""):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind}{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{kind}{path} is not valid JSON: {exc}") from exc
+
+
+def _config_defaults(command: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The --config entries, typed by the subcommand's own parser."""
+    path = args.config
+    data = _read_json(path, "config ")
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object")
-    return data
-
-
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flag value if given, else config value, else default."""
-    unknown = sorted(set(config) - set(defaults))
+    options = {
+        a.dest: a for a in command._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    unknown = sorted(set(data) - set(options))
     if unknown:
         raise InputError(f"config has unknown keys {unknown}")
-    resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-    return resolved
+    # positional arguments (baseline's mode) come from the command line
+    argv = [getattr(args, a.dest) for a in command._actions if not a.option_strings]
+    for key, value in data.items():
+        action = options[key]
+        flag = action.option_strings[0]
+        if action.nargs == 0:   # a switch
+            if not isinstance(value, bool):
+                raise InputError(f"config {path}: {key} must be true or false, "
+                                 f"got {json.dumps(value)}")
+            if value == action.const:
+                argv.append(flag)
+            continue
+        many = action.nargs == "+"
+        items = value if many and isinstance(value, list) else [value]
+        if any(type(item) not in (str, int, float) for item in items):
+            raise InputError(f"config {path}: {key} must be a string or a number, "
+                             f"got {json.dumps(value)}")
+        # "--flag=value" keeps a value that starts with "-" from reading as a flag
+        argv += [flag, *map(str, items)] if many else [f"{flag}={value}"]
+    command.exit_on_error = False
+    try:
+        parsed = command.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise InputError(f"config {path}: {exc}") from None
+    finally:
+        command.exit_on_error = True
+    return {key: getattr(parsed, key) for key in data}
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -82,13 +110,12 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _header(command: str, seed: int, options: dict) -> dict:
-    echo = {
-        k: v for k, v in sorted(options.items())
-        if isinstance(v, (int, float, str, bool, list)) or v is None
+def _header(command: str, args: argparse.Namespace) -> dict:
+    options = {
+        k: v for k, v in sorted(vars(args).items()) if k not in ("command", "config", "func")
     }
     return {"tool": "mrprior", "version": __version__, "command": command,
-            "seed": seed, "options": echo}
+            "seed": args.seed, "options": options}
 
 
 def _load_dataset(path: str, fmt: str | None, header: bool, class_column) -> Dataset:
@@ -96,17 +123,12 @@ def _load_dataset(path: str, fmt: str | None, header: bool, class_column) -> Dat
         fmt = "arff" if path.lower().endswith(".arff") else "csv"
     if fmt == "arff":
         return load_arff(path, class_column if class_column is not None else "last")
-    if fmt == "csv":
-        return load_csv(path, header=header, class_column=class_column)
-    raise InputError(f"unknown dataset format {fmt!r}")
+    return load_csv(path, header=header, class_column=class_column)
 
 
-def _parse_class_column(value):
-    if value is None or value == "":
+def _parse_class_column(text: str | None):
+    if not text:
         return None
-    if isinstance(value, int):
-        return value
-    text = str(value)
     return int(text) if text.lstrip("-").isdigit() else text
 
 
@@ -114,51 +136,24 @@ def _parse_class_column(value):
 # subcommands
 # ---------------------------------------------------------------------------
 
-_PRIORITIZE_DEFAULTS = {
-    "dataset": None,
-    "format": None,
-    "no_header": False,
-    "class_column": None,
-    "catalog": None,
-    "followup_dir": None,
-    "metric": None,
-    "out": "ranking.json",
-    "diagnostics": None,
-    "top_n": None,
-    "seed": DEFAULT_SEED,
-    "bins": 4,
-    "beam_width": 5,
-    "min_covered": 2,
-    "max_conditions": 3,
-    "knn_k": 5,
-    "contamination": 0.05,
-    "kmeans_k": 3,
-    "kmeans_max_iters": 100,
-    "standardize": True,
-}
-
-
 def cmd_prioritize(args: argparse.Namespace) -> int:
-    opt = _resolve(args, _load_config(args.config), _PRIORITIZE_DEFAULTS)
-    if not opt["dataset"]:
+    if not args.dataset:
         raise InputError("prioritize needs --dataset")
-    if not opt["metric"]:
+    if not args.metric:
         raise InputError("prioritize needs --metric")
-    if opt["metric"] not in METRICS:
-        raise InputError(f"unknown metric {opt['metric']!r}; choose one of {list(METRICS)}")
-    if bool(opt["catalog"]) == bool(opt["followup_dir"]):
+    if bool(args.catalog) == bool(args.followup_dir):
         raise InputError("prioritize needs exactly one of --catalog or --followup-dir")
 
-    class_column = _parse_class_column(opt["class_column"])
+    class_column = _parse_class_column(args.class_column)
     source = _load_dataset(
-        opt["dataset"], opt["format"], header=not opt["no_header"], class_column=class_column
+        args.dataset, args.format, header=not args.no_header, class_column=class_column
     )
 
-    if opt["catalog"]:
-        specs = load_catalog(opt["catalog"])
+    if args.catalog:
+        specs = load_catalog(args.catalog)
         pairs = build_pairs(specs, source)
     else:
-        directory = opt["followup_dir"]
+        directory = args.followup_dir
         try:
             names = sorted(os.listdir(directory))
         except OSError as exc:
@@ -171,76 +166,48 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
             mr_id = os.path.splitext(filename)[0]
             followup = _load_dataset(
                 os.path.join(directory, filename),
-                opt["format"],
-                header=not opt["no_header"],
+                args.format,
+                header=not args.no_header,
                 class_column=class_column,
             )
             pairs.append(pair_from_files(mr_id, mr_id, source, followup))
 
-    params = MetricParams(
-        beam_width=int(opt["beam_width"]),
-        min_covered=int(opt["min_covered"]),
-        max_conditions=int(opt["max_conditions"]),
-        bins=int(opt["bins"]),
-        knn_k=int(opt["knn_k"]),
-        contamination=float(opt["contamination"]),
-        kmeans_k=int(opt["kmeans_k"]),
-        kmeans_max_iters=int(opt["kmeans_max_iters"]),
-        seed=int(opt["seed"]),
-        standardize=bool(opt["standardize"]),
-    )
-    scores = normalize(score_catalog(pairs, opt["metric"], params))
+    params = MetricParams(**{f.name: getattr(args, f.name) for f in fields(MetricParams)})
+    scores = normalize(score_catalog(pairs, args.metric, params))
     ranking = rank(scores)
 
     payload = {
-        "header": _header("prioritize", params.seed, opt),
+        "header": _header("prioritize", args),
         "ranking": ranking.to_dict(),
     }
-    if opt["top_n"] is not None:
-        payload["top_n"] = list(top_n(ranking, int(opt["top_n"])))
-    _write_json(opt["out"], payload)
+    if args.top_n is not None:
+        payload["top_n"] = list(top_n(ranking, args.top_n))
+    _write_json(args.out, payload)
 
-    if opt["diagnostics"]:
+    if args.diagnostics:
         detail = {
-            "header": _header("prioritize", params.seed, opt),
+            "header": _header("prioritize", args),
             "scores": [
                 {**s.to_dict(), "diagnostics": s.diagnostics} for s in scores
             ],
         }
-        _write_json(opt["diagnostics"], detail)
+        _write_json(args.diagnostics, detail)
     return 0
 
 
-_EVALUATE_DEFAULTS = {
-    "ranking": None,
-    "order": None,
-    "kills": None,
-    "times": None,
-    "thresholds": list(DEFAULT_THRESHOLDS),
-    "out": "report.json",
-    "seed": DEFAULT_SEED,
-}
-
-
-def _read_ordering(opt: dict) -> list[str]:
-    if bool(opt["ranking"]) == bool(opt["order"]):
+def _read_ordering(args: argparse.Namespace) -> list[str]:
+    if bool(args.ranking) == bool(args.order):
         raise InputError("evaluate needs exactly one of --ranking or --order")
-    path = opt["ranking"] or opt["order"]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if opt["ranking"]:
+    path = args.ranking or args.order
+    data = _read_json(path)
+    if args.ranking:
         try:
             entries = data["ranking"]["entries"]
             ordering = [e["mr_id"] for e in sorted(entries, key=lambda e: e["rank"])]
         except (KeyError, TypeError) as exc:
             raise InputError(f"{path}: malformed ranking file: {exc}") from exc
     else:
-        ordering = data.get("ordering")
+        ordering = data.get("ordering") if isinstance(data, dict) else None
         if not isinstance(ordering, list) or not all(isinstance(m, str) for m in ordering):
             raise InputError(f"{path}: malformed ordering file")
     if not ordering:
@@ -249,114 +216,75 @@ def _read_ordering(opt: dict) -> list[str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    opt = _resolve(args, _load_config(args.config), _EVALUATE_DEFAULTS)
-    if not opt["kills"] or not opt["times"]:
+    if not args.kills or not args.times:
         raise InputError("evaluate needs --kills and --times")
-    ordering = _read_ordering(opt)
-    km = load_kill_matrix(opt["kills"], opt["times"])
-    thresholds = [float(t) for t in opt["thresholds"]]
-    report = evaluate_ordering(ordering, km, thresholds)
+    ordering = _read_ordering(args)
+    km = load_kill_matrix(args.kills, args.times)
+    report = evaluate_ordering(ordering, km, args.thresholds)
     payload = {
-        "header": _header("evaluate", int(opt["seed"]), opt),
+        "header": _header("evaluate", args),
         "report": report.to_dict(),
     }
-    _write_json(opt["out"], payload)
+    _write_json(args.out, payload)
     return 0
 
 
-_BASELINE_DEFAULTS = {
-    "mode": None,
-    "kills": None,
-    "times": None,
-    "coverage": None,
-    "runs": 100,
-    "exhaustive": False,
-    "thresholds": list(DEFAULT_THRESHOLDS),
-    "out": None,
-    "seed": DEFAULT_SEED,
-}
-
-
 def cmd_baseline(args: argparse.Namespace) -> int:
-    opt = _resolve(args, _load_config(args.config), _BASELINE_DEFAULTS)
-    seed = int(opt["seed"])
-    if opt["mode"] == "random":
-        if not opt["kills"] or not opt["times"]:
+    if args.mode == "random":
+        if not args.kills or not args.times:
             raise InputError("baseline random needs --kills and --times")
-        km = load_kill_matrix(opt["kills"], opt["times"])
+        km = load_kill_matrix(args.kills, args.times)
         report = random_baseline(
             km,
-            runs=int(opt["runs"]),
-            seed=seed,
-            thresholds=[float(t) for t in opt["thresholds"]],
-            exhaustive=bool(opt["exhaustive"]),
+            runs=args.runs,
+            seed=args.seed,
+            thresholds=args.thresholds,
+            exhaustive=args.exhaustive,
         )
         payload = {
-            "header": _header("baseline random", seed, opt),
+            "header": _header("baseline random", args),
             "report": report.to_dict(),
         }
-        _write_json(opt["out"] or "baseline_random.json", payload)
+        _write_json(args.out or "baseline_random.json", payload)
         return 0
-    if opt["mode"] == "coverage":
-        if not opt["coverage"]:
-            raise InputError("baseline coverage needs --coverage")
-        cov = load_coverage_matrix(opt["coverage"])
-        ordering = coverage_greedy(cov)
-        payload = {
-            "header": _header("baseline coverage", seed, opt),
-            "ordering": list(ordering),
-        }
-        _write_json(opt["out"] or "baseline_coverage.json", payload)
-        return 0
-    raise InputError(f"unknown baseline mode {opt['mode']!r}; use random or coverage")
-
-
-_COMPARE_DEFAULTS = {
-    "treatment": None,
-    "baseline": None,
-    "alternative": "greater",
-    "iterations": 10000,
-    "alpha": 0.05,
-    "out": "comparison.json",
-    "seed": DEFAULT_SEED,
-}
+    if not args.coverage:
+        raise InputError("baseline coverage needs --coverage")
+    cov = load_coverage_matrix(args.coverage)
+    ordering = coverage_greedy(cov)
+    payload = {
+        "header": _header("baseline coverage", args),
+        "ordering": list(ordering),
+    }
+    _write_json(args.out or "baseline_coverage.json", payload)
+    return 0
 
 
 def _load_report(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    if "report" not in data:
+    data = _read_json(path)
+    if not isinstance(data, dict) or "report" not in data:
         raise InputError(f"{path}: not an evaluation report file")
     return report_from_dict(data["report"])
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    opt = _resolve(args, _load_config(args.config), _COMPARE_DEFAULTS)
-    if not opt["treatment"] or not opt["baseline"]:
+    if not args.treatment or not args.baseline:
         raise InputError("compare needs --treatment and --baseline")
-    treatment = _load_report(opt["treatment"])
-    baseline = _load_report(opt["baseline"])
+    treatment = _load_report(args.treatment)
+    baseline = _load_report(args.baseline)
     if len(treatment.curve.points) != len(baseline.curve.points):
         raise InputError("reports cover different MR-set sizes")
     if treatment.mutant_ids != baseline.mutant_ids:
         raise InputError("reports cover different mutant sets")
 
-    seed = int(opt["seed"])
-    alpha = float(opt["alpha"])
     rows = []
     improvements = relative_improvement(treatment.curve, baseline.curve)
     # one column per MR-set size, all tested against one sign-flip null
     p_values = permutation_test(
         treatment.detection.T,
         baseline.detection.T,
-        alternative=str(opt["alternative"]),
-        iterations=int(opt["iterations"]),
-        seed=seed,
+        alternative=args.alternative,
+        iterations=args.iterations,
+        seed=args.seed,
     )
     for m, p in enumerate(p_values):
         rows.append(
@@ -366,33 +294,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "baseline": baseline.curve.points[m],
                 "improvement_pct": improvements[m],
                 "p_value": p,
-                "significant": bool(p < alpha),
+                "significant": bool(p < args.alpha),
             }
         )
     payload = {
-        "header": _header("compare", seed, opt),
-        "alternative": opt["alternative"],
-        "alpha": alpha,
+        "header": _header("compare", args),
+        "alternative": args.alternative,
+        "alpha": args.alpha,
         "apfd": {"treatment": treatment.apfd, "baseline": baseline.apfd},
         "sizes": rows,
     }
-    _write_json(opt["out"], payload)
+    _write_json(args.out, payload)
     return 0
 
 
-_SYNTH_DEFAULTS = {
-    "mrs": None,
-    "mutants": None,
-    "kill_prob": "0.3",
-    "times": "1.0",
-    "out_kills": "kills.csv",
-    "out_times": "times.csv",
-    "seed": DEFAULT_SEED,
-}
-
-
 def _parse_prob_spec(text: str, n: int):
-    parts = [p for p in str(text).split(",") if p != ""]
+    parts = [p for p in text.split(",") if p != ""]
     try:
         values = [float(p) for p in parts]
     except ValueError:
@@ -405,32 +322,27 @@ def _parse_prob_spec(text: str, n: int):
 
 
 def _parse_time_spec(text: str, n: int):
-    text = str(text)
     if ":" in text:
         lo, _, hi = text.partition(":")
         try:
             return (float(lo), float(hi))
         except ValueError:
             raise InputError(f"bad time range {text!r}") from None
-    values = _parse_prob_spec(text, n)
-    return values
+    return _parse_prob_spec(text, n)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opt = _resolve(args, _load_config(args.config), _SYNTH_DEFAULTS)
-    if opt["mrs"] is None or opt["mutants"] is None:
+    if args.mrs is None or args.mutants is None:
         raise InputError("synth needs --mrs and --mutants")
-    n_mrs = int(opt["mrs"])
-    seed = int(opt["seed"])
     km = synth_kill_matrix(
-        n_mrs,
-        int(opt["mutants"]),
-        kill_prob=_parse_prob_spec(opt["kill_prob"], n_mrs),
-        times=_parse_time_spec(opt["times"], n_mrs),
-        seed=seed,
+        args.mrs,
+        args.mutants,
+        kill_prob=_parse_prob_spec(args.kill_prob, args.mrs),
+        times=_parse_time_spec(args.times, args.mrs),
+        seed=args.seed,
     )
-    comment = f"# mrprior synth seed={seed}"
-    save_kill_matrix(km, opt["out_kills"], opt["out_times"], comment=comment)
+    comment = f"# mrprior synth seed={args.seed}"
+    save_kill_matrix(km, args.out_kills, args.out_times, comment=comment)
     return 0
 
 
@@ -447,77 +359,74 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mrprior {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prioritize", help="rank a catalog of MRs by a diversity metric")
-    p.add_argument("--config")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config")
+        p.set_defaults(func=func)
+        return p
+
+    m = MetricParams
+    p = command("prioritize", cmd_prioritize, "rank a catalog of MRs by a diversity metric")
     p.add_argument("--dataset")
     p.add_argument("--format", choices=("csv", "arff"))
-    p.add_argument("--no-header", action="store_const", const=True, dest="no_header")
+    p.add_argument("--no-header", action="store_true")
     p.add_argument("--class-column")
     p.add_argument("--catalog")
     p.add_argument("--followup-dir")
     p.add_argument("--metric", choices=METRICS)
-    p.add_argument("--out")
+    p.add_argument("--out", default="ranking.json")
     p.add_argument("--diagnostics")
-    p.add_argument("--top-n", type=int, dest="top_n")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--beam-width", type=int, dest="beam_width")
-    p.add_argument("--min-covered", type=int, dest="min_covered")
-    p.add_argument("--max-conditions", type=int, dest="max_conditions")
-    p.add_argument("--knn-k", type=int, dest="knn_k")
-    p.add_argument("--contamination", type=float)
-    p.add_argument("--kmeans-k", type=int, dest="kmeans_k")
-    p.add_argument("--kmeans-max-iters", type=int, dest="kmeans_max_iters")
-    p.add_argument(
-        "--no-standardize", action="store_const", const=False, dest="standardize"
-    )
-    p.set_defaults(func=cmd_prioritize)
+    p.add_argument("--top-n", type=int)
+    p.add_argument("--seed", type=int, default=m.seed)
+    p.add_argument("--bins", type=int, default=m.bins)
+    p.add_argument("--beam-width", type=int, default=m.beam_width)
+    p.add_argument("--min-covered", type=int, default=m.min_covered)
+    p.add_argument("--max-conditions", type=int, default=m.max_conditions)
+    p.add_argument("--knn-k", type=int, default=m.knn_k)
+    p.add_argument("--contamination", type=float, default=m.contamination)
+    p.add_argument("--kmeans-k", type=int, default=m.kmeans_k)
+    p.add_argument("--kmeans-max-iters", type=int, default=m.kmeans_max_iters)
+    p.add_argument("--no-standardize", action="store_false", dest="standardize",
+                   default=m.standardize)
 
-    p = sub.add_parser("evaluate", help="evaluate one ordering against a kill matrix")
-    p.add_argument("--config")
+    thresholds = {"type": float, "nargs": "+", "default": list(DEFAULT_THRESHOLDS)}
+    p = command("evaluate", cmd_evaluate, "evaluate one ordering against a kill matrix")
     p.add_argument("--ranking")
     p.add_argument("--order")
     p.add_argument("--kills")
     p.add_argument("--times")
-    p.add_argument("--thresholds", type=float, nargs="+")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--thresholds", **thresholds)
+    p.add_argument("--out", default="report.json")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("baseline", help="random or coverage-greedy baseline")
+    p = command("baseline", cmd_baseline, "random or coverage-greedy baseline")
     p.add_argument("mode", choices=("random", "coverage"))
-    p.add_argument("--config")
     p.add_argument("--kills")
     p.add_argument("--times")
     p.add_argument("--coverage")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--exhaustive", action="store_const", const=True)
-    p.add_argument("--thresholds", type=float, nargs="+")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_baseline)
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--thresholds", **thresholds)
+    p.add_argument("--out")   # default depends on the mode
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("compare", help="compare two evaluation reports")
-    p.add_argument("--config")
+    p = command("compare", cmd_compare, "compare two evaluation reports")
     p.add_argument("--treatment")
     p.add_argument("--baseline")
-    p.add_argument("--alternative", choices=("greater", "two-sided"))
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--alternative", choices=("greater", "two-sided"), default="greater")
+    p.add_argument("--iterations", type=int, default=10000)
+    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--out", default="comparison.json")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("synth", help="generate a synthetic kill matrix")
-    p.add_argument("--config")
+    p = command("synth", cmd_synth, "generate a synthetic kill matrix")
     p.add_argument("--mrs", type=int)
     p.add_argument("--mutants", type=int)
-    p.add_argument("--kill-prob", dest="kill_prob")
-    p.add_argument("--times")
-    p.add_argument("--out-kills", dest="out_kills")
-    p.add_argument("--out-times", dest="out_times")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--kill-prob", default="0.3")
+    p.add_argument("--times", default="1.0")
+    p.add_argument("--out-kills", default="kills.csv")
+    p.add_argument("--out-times", default="times.csv")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
@@ -526,6 +435,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # argparse has no public way back to a subcommand's parser
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            command = sub.choices[args.command]
+            command.set_defaults(**_config_defaults(command, args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

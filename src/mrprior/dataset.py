@@ -425,6 +425,7 @@ class NumericView:
     """Imputed (and optionally standardized) numeric non-class feature matrix."""
 
     matrix: np.ndarray
+    raw: np.ndarray = field(repr=False)   # the imputed matrix before standardization
     feature_names: tuple[str, ...]
     standardized: bool
     means: np.ndarray
@@ -469,37 +470,31 @@ def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
     if dataset.n_rows == 0:
         raise ApplicabilityError(f"dataset {dataset.name!r}: no rows")
 
-    columns = []
-    means = []
-    stds = []
-    for i in indices:
+    raw = np.empty((dataset.n_rows, len(indices)))
+    means = np.empty(len(indices))
+    stds = np.empty(len(indices))
+    for j, i in enumerate(indices):
         imputed = mean_imputed(dataset.columns[i])
         if imputed is None:
             raise ApplicabilityError(
                 f"dataset {dataset.name!r}: attribute {dataset.attributes[i].name!r} "
                 f"has no observed values"
             )
-        filled, mean, std = imputed
-        columns.append(filled)
-        means.append(mean)
-        stds.append(std)
+        raw[:, j], means[j], stds[j] = imputed
+    constant = stds == 0.0
 
-    matrix = np.column_stack(columns)
-    means_arr = np.array(means)
-    stds_arr = np.array(stds)
-    constant = stds_arr == 0.0
-
+    matrix = raw
     if standardize:
-        scaled = matrix.copy()
-        live = ~constant
-        scaled[:, live] = (matrix[:, live] - means_arr[live]) / stds_arr[live]
-        matrix = scaled
+        # constant columns are shifted by 0 and divided by 1, which leaves them exact
+        matrix = raw - np.where(constant, 0.0, means)
+        matrix /= np.where(constant, 1.0, stds)
 
     return NumericView(
         matrix=matrix,
+        raw=raw,
         feature_names=tuple(dataset.attributes[i].name for i in indices),
         standardized=standardize,
-        means=means_arr,
-        stds=stds_arr,
+        means=means,
+        stds=stds,
         constant_mask=constant,
     )

@@ -102,12 +102,10 @@ class AnomalySummary:
 def anomaly_summary(
     dataset: Dataset, k: int = 5, contamination: float = 0.05, standardize: bool = True
 ) -> AnomalySummary:
-    report = knn_outliers(
-        numeric_view(dataset, standardize=standardize), k=k, contamination=contamination
-    )
-    raw = numeric_view(dataset, standardize=False)
-    order = np.argsort(np.array(raw.feature_names))
-    return AnomalySummary(report, tuple(sorted(raw.feature_names)), raw.matrix[:, order])
+    view = numeric_view(dataset, standardize=standardize)
+    report = knn_outliers(view, k=k, contamination=contamination)
+    order = np.argsort(np.array(view.feature_names))
+    return AnomalySummary(report, tuple(sorted(view.feature_names)), view.raw[:, order])
 
 
 def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:

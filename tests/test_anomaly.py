@@ -277,6 +277,24 @@ class TestAnomalyDiversity:
         assert diag["identical_pairs"] == []
         assert raw == 0.0
 
+    def test_summary_imputes_once(self, monkeypatch):
+        views = []
+
+        def counting(dataset, standardize=True):
+            views.append(standardize)
+            return numeric_view(dataset, standardize)
+
+        monkeypatch.setattr(anomaly, "numeric_view", counting)
+        rng = np.random.default_rng(27)
+        d = random_dataset(rng, n_rows=40, missing=0.1)
+        names = [a.name for i, a in enumerate(d.attributes) if i in d.numeric_indices()]
+        unscaled = numeric_view(d, standardize=False).matrix[:, np.argsort(names)]
+        summary = anomaly.anomaly_summary(d, k=3, contamination=0.1)
+        assert views == [True]
+        # the matched vectors are the imputed, unstandardized rows, bit for bit
+        assert summary.feature_names == tuple(sorted(names))
+        assert summary.raw.tobytes() == unscaled.tobytes()
+
     def test_planted_outlier_always_flagged(self):
         rng = np.random.default_rng(26)
         for _ in range(10):

@@ -266,6 +266,15 @@ class TestEvaluate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--order", "--ranking"])
+    @pytest.mark.parametrize("text", ["[1]", "5", "null"])
+    def test_non_object_ordering_file_exits_2(self, workspace, tmp_path, capsys, flag, text):
+        order = write(tmp_path / "order.json", text)
+        rc = main(["evaluate", flag, order, "--kills", workspace["kills"],
+                   "--times", workspace["times"], "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_needs_exactly_one_ordering_source(self, workspace, tmp_path):
         order = write(tmp_path / "order.json", json.dumps({"ordering": ["MR1", "MR2"]}))
         base = [
@@ -434,6 +443,15 @@ class TestCompare:
         return (self.evaluate_to(ws, tmp_path, ids, "treat"),
                 self.evaluate_to(ws, tmp_path, ids[::-1], "base"))
 
+    @pytest.mark.parametrize("text", ["[1]", "5", "null", "{}"])
+    def test_non_report_file_exits_2(self, workspace, tmp_path, capsys, text):
+        report = self.evaluate_to(workspace, tmp_path, ["MR1", "MR2"], "ok")
+        other = write(tmp_path / "other.json", text)
+        rc = main(["compare", "--treatment", report, "--baseline", other,
+                   "--out", str(tmp_path / "cmp.json")])
+        assert rc == 2
+        assert "not an evaluation report file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cut", ["rows", "columns"])
     def test_short_detection_exits_2(self, tmp_path, capsys, cut):
         treatment, baseline = self.synth_reports(tmp_path, 5)
@@ -551,3 +569,137 @@ class TestSynth:
             ]
         ) == 2
         assert main(["synth", "--mutants", "4"]) == 2
+
+
+LABELLED_CSV = "x,y,c\n" + "".join(
+    f"{x},{y},{c}\n"
+    for x, y, c in [(1, 4, "a"), (2, 1, "a"), (3, 5, "b"), (4, 1, "b"), (5, 9, "a"),
+                    (6, 2, "b"), (7, 6, "a"), (8, 5, "b"), (30, 3, "a"), (9, 5, "b")]
+)
+
+
+@pytest.fixture
+def config_workspace(workspace):
+    ws = dict(workspace)
+    ws["labelled"] = write(ws["dir"] / "labelled.csv", LABELLED_CSV)
+    ws["order"] = write(ws["dir"] / "order.json", json.dumps({"ordering": ["MR2", "MR1"]}))
+    ws["coverage"] = write(ws["dir"] / "cov.csv", "mr_id,e1,e2\nMR1,1,0\nMR2,1,1\n")
+    for name, order in (("treat", ["MR1", "MR2"]), ("base", ["MR2", "MR1"])):
+        order_file = write(ws["dir"] / f"{name}_order.json", json.dumps({"ordering": order}))
+        ws[name] = str(ws["dir"] / f"{name}.json")
+        assert main(["evaluate", "--order", order_file, "--kills", ws["kills"],
+                     "--times", ws["times"], "--out", ws[name]]) == 0
+    return ws
+
+
+def run_with_config(ws, argv, config):
+    path = write(ws["dir"] / "cfg.json", json.dumps(config))
+    return main([*argv, "--config", path])
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "argv, config, names",
+        [
+            (["baseline", "random"], {"runs": "abc"}, "--runs"),
+            (["evaluate"], {"seed": [1]}, "seed"),
+            (["baseline", "random"], {"exhaustive": "no"}, "exhaustive"),
+            (["prioritize"], {"standardize": "false"}, "standardize"),
+            (["synth"], {"mrs": 3.7}, "--mrs"),
+            (["prioritize"], {"metric": "rules"}, "--metric"),
+            (["baseline", "random"], {"mode": "coverage"}, "mode"),
+        ],
+        ids=["runs", "seed", "exhaustive", "standardize", "mrs", "metric", "mode"],
+    )
+    def test_mistyped_value_exits_2(self, config_workspace, monkeypatch, capsys,
+                                    argv, config, names):
+        ws = config_workspace
+        inputs = {
+            "prioritize": ["--dataset", ws["labelled"], "--class-column", "c",
+                           "--catalog", ws["catalog"], "--metric", "anomaly"],
+            "evaluate": ["--order", ws["order"], "--kills", ws["kills"], "--times", ws["times"]],
+            "baseline": ["--kills", ws["kills"], "--times", ws["times"]],
+            "synth": ["--mutants", "4"],
+        }[argv[0]]
+        out = ["--out-kills", "k.csv"] if argv[0] == "synth" else ["--out", "o.json"]
+        monkeypatch.chdir(ws["dir"])
+        rc = run_with_config(ws, [*argv, *inputs, *out], config)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config ") and names in err
+        assert "Traceback" not in err
+
+    def test_scalar_thresholds_is_one_threshold(self, config_workspace):
+        ws = config_workspace
+        out = ws["dir"] / "r.json"
+        rc = run_with_config(ws, ["evaluate", "--order", ws["order"], "--kills", ws["kills"],
+                                  "--times", ws["times"], "--out", str(out)],
+                             {"thresholds": 5})
+        assert rc == 0
+        payload = read_json(out)
+        assert payload["header"]["options"]["thresholds"] == [5.0]
+        assert payload["report"]["effective_sizes"] == [{"threshold": 5.0, "size": 2}]
+
+    @pytest.mark.parametrize("command", ["prioritize", "evaluate", "baseline", "compare", "synth"])
+    def test_config_matches_flags(self, config_workspace, command):
+        ws = config_workspace
+        d = ws["dir"]
+        # the same values, once as a config holding every option and once as flags
+        config, flags = {
+            "prioritize": (
+                {"dataset": ws["labelled"], "format": "csv", "no_header": False,
+                 "class_column": "c", "catalog": ws["catalog"], "metric": "anomaly",
+                 "out": str(d / "o.json"), "diagnostics": str(d / "diag.json"), "top_n": 2,
+                 "seed": 3, "bins": 3, "beam_width": 4, "min_covered": 1,
+                 "max_conditions": 2, "knn_k": 2, "contamination": 0.25, "kmeans_k": 2,
+                 "kmeans_max_iters": 7, "standardize": False},
+                ["prioritize", "--dataset", ws["labelled"], "--format", "csv",
+                 "--class-column", "c", "--catalog", ws["catalog"], "--metric", "anomaly",
+                 "--out", str(d / "o.json"), "--diagnostics", str(d / "diag.json"),
+                 "--top-n", "2", "--seed", "3", "--bins", "3", "--beam-width", "4",
+                 "--min-covered", "1", "--max-conditions", "2", "--knn-k", "2",
+                 "--contamination", "0.25", "--kmeans-k", "2", "--kmeans-max-iters", "7",
+                 "--no-standardize"],
+            ),
+            "evaluate": (
+                {"order": ws["order"], "kills": ws["kills"], "times": ws["times"],
+                 "thresholds": [4, 2], "out": str(d / "o.json"), "seed": 5},
+                ["evaluate", "--order", ws["order"], "--kills", ws["kills"],
+                 "--times", ws["times"], "--thresholds", "4", "2",
+                 "--out", str(d / "o.json"), "--seed", "5"],
+            ),
+            "baseline": (
+                {"kills": ws["kills"], "times": ws["times"], "coverage": ws["coverage"],
+                 "runs": 3, "exhaustive": True, "thresholds": [4, 2],
+                 "out": str(d / "o.json"), "seed": 6},
+                ["baseline", "random", "--kills", ws["kills"], "--times", ws["times"],
+                 "--coverage", ws["coverage"], "--runs", "3", "--exhaustive",
+                 "--thresholds", "4", "2", "--out", str(d / "o.json"), "--seed", "6"],
+            ),
+            "compare": (
+                {"treatment": ws["treat"], "baseline": ws["base"],
+                 "alternative": "two-sided", "iterations": 50, "alpha": 0.1,
+                 "out": str(d / "o.json"), "seed": 4},
+                ["compare", "--treatment", ws["treat"], "--baseline", ws["base"],
+                 "--alternative", "two-sided", "--iterations", "50", "--alpha", "0.1",
+                 "--out", str(d / "o.json"), "--seed", "4"],
+            ),
+            "synth": (
+                {"mrs": 3, "mutants": 4, "kill_prob": 0.5, "times": "0.5:2.0",
+                 "out_kills": str(d / "o.json"), "out_times": str(d / "diag.json"),
+                 "seed": 9},
+                ["synth", "--mrs", "3", "--mutants", "4", "--kill-prob", "0.5",
+                 "--times", "0.5:2.0", "--out-kills", str(d / "o.json"),
+                 "--out-times", str(d / "diag.json"), "--seed", "9"],
+            ),
+        }[command]
+        # the config run keeps only the subcommand, and baseline's mode, on the command line
+        command_line = flags[:2] if command == "baseline" else flags[:1]
+        outputs = []
+        for argv, cfg in ((flags, None), (command_line, config)):
+            for name in ("o.json", "diag.json"):
+                (d / name).unlink(missing_ok=True)
+            assert (run_with_config(ws, argv, cfg) if cfg else main(argv)) == 0
+            outputs.append([(d / name).read_bytes() for name in ("o.json", "diag.json")
+                            if (d / name).exists()])
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -277,6 +277,14 @@ class TestNumericView:
         v = numeric_view(d)
         assert v.feature_names == ("x",)
 
+    def test_raw_is_the_unstandardized_matrix(self):
+        d = make_dataset({"x": [1, None, 3], "y": [2, 2, 2], "z": [0, 10, 5]})
+        unscaled = numeric_view(d, standardize=False)
+        assert unscaled.raw is unscaled.matrix
+        scaled = numeric_view(d)
+        assert scaled.raw.tobytes() == unscaled.matrix.tobytes()
+        assert scaled.matrix[:, 2].tolist() != scaled.raw[:, 2].tolist()
+
     def test_errors(self):
         with pytest.raises(ApplicabilityError):
             numeric_view(make_dataset({"c": ["a", "b"]}))

@@ -27,27 +27,14 @@ import numpy as np
 from .dataset import Attribute, Dataset, parse_number
 from .errors import ApplicabilityError, InputError
 
-# transform name -> requires a seed
-TRANSFORMS = {
-    "identity": False,
-    "permute_attributes": False,  # seed required only when perm= is absent
-    "permute_instances": True,
-    "affine_numeric": False,
-    "add_uninformative_attribute": False,
-    "add_informative_attribute": False,
-    "duplicate_instances": True,
-    "remove_instances": True,
-    "remove_class": False,
-    "relabel_classes": False,
-    "add_data_points": True,
-}
-
 # marker for pairs whose follow-up came from a file instead of a transform
 EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
 class MrSpec:
+    """One MR; every check that needs no dataset is made here, once."""
+
     id: str
     name: str
     transform: str
@@ -57,8 +44,28 @@ class MrSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise InputError("MR id must be non-empty")
-        if self.transform not in TRANSFORMS and self.transform != EXTERNAL:
-            raise InputError(f"MR {self.id}: unknown transform {self.transform!r}")
+        if self.transform == EXTERNAL:
+            return
+        _, needs_seed, required = _lookup(self.transform)
+        transform, params, seed = self.transform, self.params, self.seed
+        if needs_seed and seed is None:
+            raise InputError(f"transform {transform!r} is randomized and needs seed=")
+        if required and not any(key in params for key in required):
+            raise InputError(f"{transform} needs " + " or ".join(f"{k}=" for k in required))
+        # range and format checks; the handlers rely on them
+        if transform == "permute_attributes":
+            if "perm" in params:
+                _parse_int_list(params["perm"], "perm")
+            elif seed is None:
+                raise InputError("permute_attributes needs either perm= or seed=")
+        elif transform == "affine_numeric" and params.get("scale", 1.0) == 0:
+            raise InputError("affine_numeric scale must be nonzero")
+        elif "fraction" in required and not 0 < params["fraction"] <= 1:
+            raise InputError(f"{transform} fraction must be in (0, 1], got {params['fraction']}")
+        elif "map" in required:
+            _parse_map(params["map"])
+        elif "count" in required and params["count"] < 1:
+            raise InputError(f"{transform} count must be >= 1, got {params['count']}")
 
 
 @dataclass(frozen=True)
@@ -87,31 +94,26 @@ _INT_PARAMS = {"seed", "count"}
 _FLOAT_PARAMS = {"scale", "shift", "fraction"}
 
 
-def _parse_params(path: str, lineno: int, tokens: list[str]) -> dict:
+def _parse_params(tokens: list[str]) -> dict:
     params: dict = {}
     for token in tokens:
         if "=" not in token:
-            raise InputError(f"{path}: line {lineno}: expected key=value, got {token!r}")
+            raise InputError(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
         key = key.strip()
         if not key:
-            raise InputError(f"{path}: line {lineno}: empty parameter name in {token!r}")
+            raise InputError(f"empty parameter name in {token!r}")
         if key in params:
-            raise InputError(f"{path}: line {lineno}: duplicate parameter {key!r}")
+            raise InputError(f"duplicate parameter {key!r}")
         if key in _INT_PARAMS:
             try:
                 params[key] = int(value)
             except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: parameter {key!r} expects an integer, "
-                    f"got {value!r}"
-                ) from None
+                raise InputError(f"parameter {key!r} expects an integer, got {value!r}") from None
         elif key in _FLOAT_PARAMS:
             number = parse_number(value)
             if number is None:
-                raise InputError(
-                    f"{path}: line {lineno}: parameter {key!r} expects a number, got {value!r}"
-                )
+                raise InputError(f"parameter {key!r} expects a number, got {value!r}")
             params[key] = number
         else:
             params[key] = value
@@ -134,72 +136,24 @@ def load_catalog(path: str) -> list[MrSpec]:
             continue
         try:
             tokens = shlex.split(stripped, comments=True)
-        except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}") from exc
-        if not tokens:
-            continue
-        if len(tokens) < 3:
-            raise InputError(
-                f"{path}: line {lineno}: expected '<id> <name> <transform> [key=value ...]'"
-            )
-        mr_id, mr_name, transform = tokens[0], tokens[1], tokens[2]
-        if mr_id in seen:
-            raise InputError(f"{path}: line {lineno}: duplicate MR id {mr_id!r}")
-        seen.add(mr_id)
-        if transform not in TRANSFORMS:
-            raise InputError(f"{path}: line {lineno}: unknown transform {transform!r}")
-        params = _parse_params(path, lineno, tokens[3:])
-        seed = params.pop("seed", None)
-        try:
-            _validate_static(transform, params, seed)
-        except InputError as exc:
+            if not tokens:
+                continue
+            if len(tokens) < 3:
+                raise InputError("expected '<id> <name> <transform> [key=value ...]'")
+            mr_id, mr_name, transform = tokens[0], tokens[1], tokens[2]
+            if mr_id in seen:
+                raise InputError(f"duplicate MR id {mr_id!r}")
+            seen.add(mr_id)
+            # an unknown name is a line's first error, before its parameters
+            _lookup(transform)
+            params = _parse_params(tokens[3:])
+            seed = params.pop("seed", None)
+            specs.append(MrSpec(mr_id, mr_name, transform, params, seed))
+        except (InputError, ValueError) as exc:
             raise InputError(f"{path}: line {lineno}: {exc}") from None
-        specs.append(MrSpec(mr_id, mr_name, transform, params, seed))
     if not specs:
         raise InputError(f"{path}: catalog declares no MRs")
     return specs
-
-
-def _validate_static(transform: str, params: dict, seed: int | None) -> None:
-    """Checks that do not need the dataset: types, ranges, seed presence."""
-    if TRANSFORMS[transform] and seed is None:
-        raise InputError(f"transform {transform!r} is randomized and needs seed=")
-    if transform == "permute_attributes":
-        if "perm" not in params and seed is None:
-            raise InputError("permute_attributes needs either perm= or seed=")
-        if "perm" in params:
-            _parse_int_list(params["perm"], "perm")
-    elif transform == "affine_numeric":
-        if "scale" not in params and "shift" not in params:
-            raise InputError("affine_numeric needs scale= or shift=")
-        if params.get("scale", 1.0) == 0:
-            raise InputError("affine_numeric scale must be nonzero")
-    elif transform in ("duplicate_instances", "remove_instances"):
-        fraction = params.get("fraction")
-        if fraction is None:
-            raise InputError(f"{transform} needs fraction=")
-        if not 0 < fraction <= 1:
-            raise InputError(f"{transform} fraction must be in (0, 1], got {fraction}")
-    elif transform == "remove_class":
-        if "label" not in params:
-            raise InputError("remove_class needs label=")
-    elif transform == "relabel_classes":
-        if "map" not in params:
-            raise InputError("relabel_classes needs map=")
-        _parse_map(params["map"])
-    elif transform == "add_informative_attribute":
-        if "map" not in params:
-            raise InputError("add_informative_attribute needs map=")
-        _parse_map(params["map"])
-    elif transform == "add_uninformative_attribute":
-        if "value" not in params:
-            raise InputError("add_uninformative_attribute needs value=")
-    elif transform == "add_data_points":
-        count = params.get("count")
-        if count is None:
-            raise InputError("add_data_points needs count=")
-        if count < 1:
-            raise InputError(f"add_data_points count must be >= 1, got {count}")
 
 
 def _parse_int_list(text: str, key: str) -> list[int]:
@@ -231,21 +185,19 @@ def apply_mr(mr: MrSpec, source: Dataset) -> Dataset:
     """Build the follow-up dataset for *mr*; deterministic given the seed."""
     if mr.transform == EXTERNAL:
         raise ApplicabilityError(f"MR {mr.id}: external follow-ups cannot be recomputed")
-    _validate_static(mr.transform, mr.params, mr.seed)
-    handler = _HANDLERS[mr.transform]
-    followup = handler(mr, source)
-    return followup.replace(name=f"{source.name}#{mr.id}")
+    handler = TRANSFORMS[mr.transform][0]
+    return handler(mr, source).replace(name=f"{source.name}#{mr.id}")
 
 
 def _rng(mr: MrSpec) -> np.random.Generator:
-    if mr.seed is None:
-        raise InputError(f"MR {mr.id}: transform {mr.transform!r} needs a seed")
     return np.random.default_rng(mr.seed)
 
 
-def _require_class(mr: MrSpec, source: Dataset) -> int:
+def _nominal_class(mr: MrSpec, source: Dataset) -> int:
     if source.class_index is None:
         raise ApplicabilityError(f"MR {mr.id}: dataset has no class attribute")
+    if source.attributes[source.class_index].values is None:
+        raise ApplicabilityError(f"MR {mr.id}: class attribute is not nominal")
     return source.class_index
 
 
@@ -342,10 +294,8 @@ def _t_add_uninformative(mr: MrSpec, source: Dataset) -> Dataset:
 
 
 def _t_add_informative(mr: MrSpec, source: Dataset) -> Dataset:
-    class_index = _require_class(mr, source)
+    class_index = _nominal_class(mr, source)
     class_attr = source.attributes[class_index]
-    if class_attr.values is None:
-        raise ApplicabilityError(f"MR {mr.id}: class attribute is not nominal")
     mapping = _parse_map(mr.params["map"])
     unmapped = [v for v in class_attr.values if v not in mapping]
     if unmapped:
@@ -366,30 +316,28 @@ def _t_add_informative(mr: MrSpec, source: Dataset) -> Dataset:
     return _insert_attribute(source, attr, lookup[source.columns[class_index]])
 
 
-def _t_duplicate_instances(mr: MrSpec, source: Dataset) -> Dataset:
+def _draw_rows(mr: MrSpec, source: Dataset, action: str) -> np.ndarray:
+    """The seeded draw of round_half_up(fraction * n) distinct rows."""
     if source.n_rows == 0:
-        raise ApplicabilityError(f"MR {mr.id}: cannot duplicate rows of an empty dataset")
-    count = round_half_up(float(mr.params["fraction"]) * source.n_rows)
-    count = min(count, source.n_rows)
-    chosen = _rng(mr).choice(source.n_rows, size=count, replace=False)
+        raise ApplicabilityError(f"MR {mr.id}: cannot {action} an empty dataset")
+    count = min(round_half_up(float(mr.params["fraction"]) * source.n_rows), source.n_rows)
+    return _rng(mr).choice(source.n_rows, size=count, replace=False)
+
+
+def _t_duplicate_instances(mr: MrSpec, source: Dataset) -> Dataset:
+    chosen = _draw_rows(mr, source, "duplicate rows of")
     return source.take(np.concatenate([np.arange(source.n_rows), chosen]))
 
 
 def _t_remove_instances(mr: MrSpec, source: Dataset) -> Dataset:
-    if source.n_rows == 0:
-        raise ApplicabilityError(f"MR {mr.id}: cannot remove rows from an empty dataset")
-    count = round_half_up(float(mr.params["fraction"]) * source.n_rows)
-    count = min(count, source.n_rows)
     keep = np.ones(source.n_rows, dtype=bool)
-    keep[_rng(mr).choice(source.n_rows, size=count, replace=False)] = False
+    keep[_draw_rows(mr, source, "remove rows from")] = False
     return source.take(np.flatnonzero(keep))
 
 
 def _t_remove_class(mr: MrSpec, source: Dataset) -> Dataset:
-    class_index = _require_class(mr, source)
+    class_index = _nominal_class(mr, source)
     class_attr = source.attributes[class_index]
-    if class_attr.values is None:
-        raise ApplicabilityError(f"MR {mr.id}: class attribute is not nominal")
     label = str(mr.params["label"])
     if label not in class_attr.values:
         raise ApplicabilityError(f"MR {mr.id}: class value {label!r} does not exist")
@@ -407,10 +355,8 @@ def _t_remove_class(mr: MrSpec, source: Dataset) -> Dataset:
 
 
 def _t_relabel_classes(mr: MrSpec, source: Dataset) -> Dataset:
-    class_index = _require_class(mr, source)
+    class_index = _nominal_class(mr, source)
     class_attr = source.attributes[class_index]
-    if class_attr.values is None:
-        raise ApplicabilityError(f"MR {mr.id}: class attribute is not nominal")
     mapping = _parse_map(mr.params["map"])
     if set(mapping) != set(class_attr.values) or set(mapping.values()) != set(class_attr.values):
         raise ApplicabilityError(
@@ -449,19 +395,26 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
     return source.replace(columns=columns)
 
 
-_HANDLERS = {
-    "identity": _t_identity,
-    "permute_attributes": _t_permute_attributes,
-    "permute_instances": _t_permute_instances,
-    "affine_numeric": _t_affine_numeric,
-    "add_uninformative_attribute": _t_add_uninformative,
-    "add_informative_attribute": _t_add_informative,
-    "duplicate_instances": _t_duplicate_instances,
-    "remove_instances": _t_remove_instances,
-    "remove_class": _t_remove_class,
-    "relabel_classes": _t_relabel_classes,
-    "add_data_points": _t_add_data_points,
+# transform name -> (handler, needs seed=, required parameters: any one of them)
+TRANSFORMS = {
+    "identity": (_t_identity, False, ()),
+    "permute_attributes": (_t_permute_attributes, False, ()),  # perm= or else seed=
+    "permute_instances": (_t_permute_instances, True, ()),
+    "affine_numeric": (_t_affine_numeric, False, ("scale", "shift")),
+    "add_uninformative_attribute": (_t_add_uninformative, False, ("value",)),
+    "add_informative_attribute": (_t_add_informative, False, ("map",)),
+    "duplicate_instances": (_t_duplicate_instances, True, ("fraction",)),
+    "remove_instances": (_t_remove_instances, True, ("fraction",)),
+    "remove_class": (_t_remove_class, False, ("label",)),
+    "relabel_classes": (_t_relabel_classes, False, ("map",)),
+    "add_data_points": (_t_add_data_points, True, ("count",)),
 }
+
+
+def _lookup(transform: str) -> tuple:
+    if transform not in TRANSFORMS:
+        raise InputError(f"unknown transform {transform!r}")
+    return TRANSFORMS[transform]
 
 
 def build_pairs(catalog: list[MrSpec], source: Dataset) -> list[MrPair]:

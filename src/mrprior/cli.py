@@ -269,6 +269,8 @@ def _load_report(path: str):
 def cmd_compare(args: argparse.Namespace) -> int:
     if not args.treatment or not args.baseline:
         raise InputError("compare needs --treatment and --baseline")
+    if not 0 < args.alpha <= 1:
+        raise InputError(f"alpha must be in (0, 1], got {args.alpha}")
     treatment = _load_report(args.treatment)
     baseline = _load_report(args.baseline)
     if len(treatment.curve.points) != len(baseline.curve.points):

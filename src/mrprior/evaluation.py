@@ -27,6 +27,18 @@ DEFAULT_THRESHOLDS = (5.0, 2.5)
 # matrices
 # ---------------------------------------------------------------------------
 
+def _check_ids(mr_ids, column_ids, cells: np.ndarray, matrix: str, column: str) -> None:
+    """Unique, non-empty MR and column ids that match the cell array's shape."""
+    if len(set(mr_ids)) != len(mr_ids):
+        raise InputError(f"duplicate MR ids in {matrix}")
+    if len(set(column_ids)) != len(column_ids):
+        raise InputError(f"duplicate {column} ids in {matrix}")
+    if not mr_ids or not column_ids:
+        raise InputError(f"{matrix} needs at least one MR and one {column}")
+    if cells.shape != (len(mr_ids), len(column_ids)):
+        raise InputError(f"{matrix} shape does not match its id lists")
+
+
 @dataclass(frozen=True)
 class KillMatrix:
     mr_ids: tuple[str, ...]
@@ -35,14 +47,7 @@ class KillMatrix:
     exec_time: np.ndarray   # seconds per MR
 
     def __post_init__(self) -> None:
-        if len(set(self.mr_ids)) != len(self.mr_ids):
-            raise InputError("duplicate MR ids in kill matrix")
-        if len(set(self.mutant_ids)) != len(self.mutant_ids):
-            raise InputError("duplicate mutant ids in kill matrix")
-        if not self.mr_ids or not self.mutant_ids:
-            raise InputError("kill matrix needs at least one MR and one mutant")
-        if self.kills.shape != (len(self.mr_ids), len(self.mutant_ids)):
-            raise InputError("kill matrix shape does not match its id lists")
+        _check_ids(self.mr_ids, self.mutant_ids, self.kills, "kill matrix", "mutant")
         if self.exec_time.shape != (len(self.mr_ids),):
             raise InputError("execution time vector does not match the MR list")
         if np.any(self.exec_time < 0) or not np.all(np.isfinite(self.exec_time)):
@@ -65,14 +70,7 @@ class CoverageMatrix:
     covers: np.ndarray      # bool, MRs x elements
 
     def __post_init__(self) -> None:
-        if len(set(self.mr_ids)) != len(self.mr_ids):
-            raise InputError("duplicate MR ids in coverage matrix")
-        if len(set(self.element_ids)) != len(self.element_ids):
-            raise InputError("duplicate element ids in coverage matrix")
-        if not self.mr_ids or not self.element_ids:
-            raise InputError("coverage matrix needs at least one MR and one element")
-        if self.covers.shape != (len(self.mr_ids), len(self.element_ids)):
-            raise InputError("coverage matrix shape does not match its id lists")
+        _check_ids(self.mr_ids, self.element_ids, self.covers, "coverage matrix", "element")
 
 
 def _read_csv_records(path: str) -> list[tuple[int, list[str]]]:
@@ -306,6 +304,8 @@ def effective_set_size(curve: FaultDetectionCurve, threshold: float) -> int:
 
     Falls back to the full set size when every step is at least the threshold.
     """
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold}")
     if threshold <= 0:
         raise InputError(f"threshold must be positive, got {threshold}")
     points = curve.points
@@ -624,7 +624,7 @@ def synth_kill_matrix(
     )
     if probs.shape != (n_mrs,):
         raise InputError(f"kill_prob must be scalar or length {n_mrs}")
-    if np.any(probs < 0) or np.any(probs > 1):
+    if not np.all((probs >= 0) & (probs <= 1)):
         raise InputError("kill probabilities must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
@@ -632,6 +632,8 @@ def synth_kill_matrix(
         exec_time = np.full(n_mrs, float(times))
     elif isinstance(times, tuple) and len(times) == 2:
         low, high = float(times[0]), float(times[1])
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InputError(f"time range must be finite, got {low}:{high}")
         if low > high:
             raise InputError("time range must satisfy low <= high")
         exec_time = rng.uniform(low, high, size=n_mrs)

@@ -10,6 +10,7 @@ from mrprior import (
     load_catalog,
     pair_from_files,
 )
+from mrprior.catalog import TRANSFORMS
 
 from conftest import make_dataset, random_dataset
 
@@ -210,8 +211,57 @@ class TestTransforms:
             apply_mr(MrSpec("M", "p", "permute_instances"), d)
 
     def test_unknown_transform_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^unknown transform 'frobnicate'$"):
             MrSpec("M", "x", "frobnicate")
+
+
+# (transform, params, seed, message): a spec that misses its seed, misses a
+# required parameter or holds an out-of-range value
+SPEC_FAULTS = [
+    ("permute_attributes", {}, None, "permute_attributes needs either perm= or seed="),
+    ("permute_attributes", {"perm": "1,x"}, None,
+     "parameter 'perm' expects comma-separated integers"),
+    ("permute_instances", {}, None, "transform 'permute_instances' is randomized and needs seed="),
+    ("affine_numeric", {}, None, "affine_numeric needs scale= or shift="),
+    ("affine_numeric", {"scale": 0.0, "shift": 1.0}, None, "affine_numeric scale must be nonzero"),
+    ("add_uninformative_attribute", {}, None, "add_uninformative_attribute needs value="),
+    ("add_informative_attribute", {}, None, "add_informative_attribute needs map="),
+    ("add_informative_attribute", {"map": "a:1,b"}, None, "map entry 'b' must look like old:new"),
+    ("duplicate_instances", {"fraction": 0.5}, None,
+     "transform 'duplicate_instances' is randomized and needs seed="),
+    ("duplicate_instances", {}, 1, "duplicate_instances needs fraction="),
+    ("duplicate_instances", {"fraction": 0.0}, 1,
+     "duplicate_instances fraction must be in (0, 1], got 0.0"),
+    ("remove_instances", {}, None, "transform 'remove_instances' is randomized and needs seed="),
+    ("remove_instances", {"name": "x"}, 1, "remove_instances needs fraction="),
+    ("remove_instances", {"fraction": 1.5}, 1,
+     "remove_instances fraction must be in (0, 1], got 1.5"),
+    ("remove_class", {"value": "a"}, None, "remove_class needs label="),
+    ("relabel_classes", {}, None, "relabel_classes needs map="),
+    ("relabel_classes", {"map": "a:b,a:c"}, None, "map repeats key 'a'"),
+    ("add_data_points", {"count": 3}, None,
+     "transform 'add_data_points' is randomized and needs seed="),
+    ("add_data_points", {}, 2, "add_data_points needs count="),
+    ("add_data_points", {"count": 0}, 2, "add_data_points count must be >= 1, got 0"),
+]
+
+
+def test_spec_faults_cover_every_transform_that_can_fail():
+    assert {t for t, *_ in SPEC_FAULTS} == set(TRANSFORMS) - {"identity"}
+
+
+@pytest.mark.parametrize("transform, params, seed, message", SPEC_FAULTS)
+def test_spec_fault_raised_when_made_and_cited_by_line(tmp_path, transform, params, seed,
+                                                        message):
+    with pytest.raises(InputError) as made:
+        MrSpec("MR2", "b", transform, params, seed)
+    assert str(made.value) == message
+    words = [f"{k}={v}" for k, v in params.items()] + ([] if seed is None else [f"seed={seed}"])
+    p = tmp_path / "cat.txt"
+    p.write_text(f"MR1 a identity\nMR2 b {transform} {' '.join(words)}\n")
+    with pytest.raises(InputError) as loaded:
+        load_catalog(str(p))
+    assert str(loaded.value) == f"{p}: line 2: {message}"
 
 
 CATALOG_OK = """\
@@ -239,6 +289,20 @@ class TestCatalogFile:
         p.write_text("MR1 a identity\nMR1 b identity\n")
         with pytest.raises(InputError, match="line 2"):
             load_catalog(str(p))
+
+    def test_unknown_transform_is_a_lines_first_error(self, tmp_path):
+        p = tmp_path / "cat.txt"
+        p.write_text("MR1 a warp foo\n")
+        with pytest.raises(InputError) as exc:
+            load_catalog(str(p))
+        assert str(exc.value) == f"{p}: line 1: unknown transform 'warp'"
+
+    def test_empty_id_cites_line(self, tmp_path):
+        p = tmp_path / "cat.txt"
+        p.write_text('MR1 a identity\n"" b identity\n')
+        with pytest.raises(InputError) as exc:
+            load_catalog(str(p))
+        assert str(exc.value) == f"{p}: line 2: MR id must be non-empty"
 
     def test_unknown_transform_cites_line(self, tmp_path):
         p = tmp_path / "cat.txt"

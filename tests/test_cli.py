@@ -703,3 +703,36 @@ class TestConfig:
             outputs.append([(d / name).read_bytes() for name in ("o.json", "diag.json")
                             if (d / name).exists()])
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--mrs", "3", "--mutants", "4", "--kill-prob", "nan"],
+        ["synth", "--mrs", "3", "--mutants", "4", "--times", "0:inf"],
+        ["synth", "--mrs", "3", "--mutants", "4", "--times", "nan:1"],
+        ["evaluate", "--thresholds", "nan"],
+        ["evaluate", "--thresholds", "5", "inf"],
+        ["baseline", "random", "--thresholds", "nan"],
+        ["compare", "--alpha", "nan"],
+        ["compare", "--alpha", "0"],
+        ["compare", "--alpha", "1.5"],
+    ],
+    ids=["kill-prob-nan", "times-inf", "times-nan", "thresholds-nan", "thresholds-inf",
+         "baseline-thresholds-nan", "alpha-nan", "alpha-0", "alpha-1.5"],
+)
+def test_out_of_range_number_exits_2_and_writes_nothing(config_workspace, monkeypatch,
+                                                        capsys, argv):
+    ws = config_workspace
+    inputs = {
+        "synth": [],
+        "evaluate": ["--order", ws["order"], "--kills", ws["kills"], "--times", ws["times"]],
+        "baseline": ["--kills", ws["kills"], "--times", ws["times"]],
+        "compare": ["--treatment", ws["treat"], "--baseline", ws["base"]],
+    }[argv[0]]
+    monkeypatch.chdir(ws["dir"])
+    before = sorted(ws["dir"].iterdir())
+    assert main([*argv, *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(ws["dir"].iterdir()) == before

@@ -289,6 +289,25 @@ class TestMatrixValidation:
         with pytest.raises(InputError):
             CoverageMatrix(("A",), ("e1", "e1"), np.zeros((1, 2), dtype=bool))
 
+    @pytest.mark.parametrize(
+        "mr_ids, column_ids, shape, message",
+        [
+            (("A", "A"), ("c1",), (2, 1), "duplicate MR ids in {matrix}"),
+            (("A",), ("c1", "c1"), (1, 2), "duplicate {column} ids in {matrix}"),
+            ((), ("c1",), (0, 1), "{matrix} needs at least one MR and one {column}"),
+            (("A",), (), (1, 0), "{matrix} needs at least one MR and one {column}"),
+            (("A",), ("c1",), (2, 1), "{matrix} shape does not match its id lists"),
+        ],
+    )
+    def test_both_matrices_word_their_id_errors(self, mr_ids, column_ids, shape, message):
+        cells = np.zeros(shape, dtype=bool)
+        with pytest.raises(InputError) as kill:
+            KillMatrix(mr_ids, column_ids, cells, np.ones(len(mr_ids)))
+        with pytest.raises(InputError) as cover:
+            CoverageMatrix(mr_ids, column_ids, cells)
+        assert str(kill.value) == message.format(matrix="kill matrix", column="mutant")
+        assert str(cover.value) == message.format(matrix="coverage matrix", column="element")
+
 
 # --- curves and scalar measures ---------------------------------------------
 
@@ -458,6 +477,11 @@ class TestEffectiveSetSize:
     def test_threshold_must_be_positive(self):
         with pytest.raises(InputError):
             effective_set_size(FaultDetectionCurve((50.0, 100.0)), 0.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(InputError, match="must be finite"):
+            effective_set_size(FaultDetectionCurve((50.0, 100.0)), threshold)
 
     def test_size_always_in_range(self):
         rng = np.random.default_rng(23)
@@ -955,6 +979,11 @@ class TestSynthKillMatrix:
             synth_kill_matrix(2, 2, kill_prob=[0.5])
         with pytest.raises(InputError):
             synth_kill_matrix(2, 2, kill_prob=1.5)
+        with pytest.raises(InputError, match="must lie in"):
+            synth_kill_matrix(2, 2, kill_prob=[0.5, math.nan])
+        for low, high in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(InputError, match="time range must be finite"):
+                synth_kill_matrix(2, 2, times=(low, high))
         with pytest.raises(InputError):
             synth_kill_matrix(2, 2, times=(3.0, 1.0))
         with pytest.raises(InputError):

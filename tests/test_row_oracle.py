@@ -24,9 +24,7 @@ from mrprior.catalog import (
     MrSpec,
     _parse_int_list,
     _parse_map,
-    _require_class,
     _rng,
-    _validate_static,
     apply_mr,
     round_half_up,
 )
@@ -92,6 +90,12 @@ def _safe_float(text: str) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _require_class(mr: MrSpec, source: RowDataset) -> int:
+    if source.class_index is None:
+        raise ApplicabilityError(f"MR {mr.id}: dataset has no class attribute")
+    return source.class_index
 
 
 def _t_identity(mr: MrSpec, source: RowDataset) -> RowDataset:
@@ -333,7 +337,6 @@ ORACLE_HANDLERS = {
 
 
 def oracle_apply(mr: MrSpec, source: RowDataset) -> RowDataset:
-    _validate_static(mr.transform, mr.params, mr.seed)
     followup = ORACLE_HANDLERS[mr.transform](mr, source)
     return followup.replace(name=f"{source.name}#{mr.id}")
 

@@ -50,6 +50,8 @@ class MrSpec:
         transform, params, seed = self.transform, self.params, self.seed
         if needs_seed and seed is None:
             raise InputError(f"transform {transform!r} is randomized and needs seed=")
+        if seed is not None and seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
         if required and not any(key in params for key in required):
             raise InputError(f"{transform} needs " + " or ".join(f"{k}=" for k in required))
         # range and format checks; the handlers rely on them

@@ -104,6 +104,17 @@ def _config_defaults(command: argparse.ArgumentParser, args: argparse.Namespace)
     return {key: getattr(parsed, key) for key in data}
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed option: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:   # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -187,9 +198,7 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
     if args.diagnostics:
         detail = {
             "header": _header("prioritize", args),
-            "scores": [
-                {**s.to_dict(), "diagnostics": s.diagnostics} for s in scores
-            ],
+            "scores": [s.to_dict() for s in scores],
         }
         _write_json(args.diagnostics, detail)
     return 0
@@ -379,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="ranking.json")
     p.add_argument("--diagnostics")
     p.add_argument("--top-n", type=int)
-    p.add_argument("--seed", type=int, default=m.seed)
+    p.add_argument("--seed", type=_seed, default=m.seed)
     p.add_argument("--bins", type=int, default=m.bins)
     p.add_argument("--beam-width", type=int, default=m.beam_width)
     p.add_argument("--min-covered", type=int, default=m.min_covered)
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times")
     p.add_argument("--thresholds", **thresholds)
     p.add_argument("--out", default="report.json")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("baseline", cmd_baseline, "random or coverage-greedy baseline")
     p.add_argument("mode", choices=("random", "coverage"))
@@ -410,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--thresholds", **thresholds)
     p.add_argument("--out")   # default depends on the mode
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("compare", cmd_compare, "compare two evaluation reports")
     p.add_argument("--treatment")
@@ -419,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", default="comparison.json")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("synth", cmd_synth, "generate a synthetic kill matrix")
     p.add_argument("--mrs", type=int)
@@ -428,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", default="1.0")
     p.add_argument("--out-kills", default="kills.csv")
     p.add_argument("--out-times", default="times.csv")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     return parser
 

@@ -184,12 +184,20 @@ def load_csv(
     the observed values (first-appearance order) as its value-set.  Without a
     header row, columns are named ``c0``, ``c1``, ...
     """
+    records: list[list[str]] = []
+    ragged = None   # (file line, field count) of the first record unlike the first one
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            start = 1   # the file line the next record starts on
+            for record in reader:
+                if record:   # a blank line is no record
+                    if records and ragged is None and len(record) != len(records[0]):
+                        ragged = (start, len(record))
+                    records.append(record)
+                start = reader.line_num + 1
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    records = [r for r in records if r]
     if not records:
         raise InputError(f"{path}: empty file")
 
@@ -203,11 +211,8 @@ def load_csv(
         body = records
 
     n_cols = len(names)
-    for lineno, record in enumerate(body, start=2 if header else 1):
-        if len(record) != n_cols:
-            raise InputError(
-                f"{path}: line {lineno}: expected {n_cols} fields, got {len(record)}"
-            )
+    if ragged is not None:
+        raise InputError(f"{path}: line {ragged[0]}: expected {n_cols} fields, got {ragged[1]}")
 
     attributes = []
     columns = []

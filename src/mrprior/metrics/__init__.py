@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..catalog import MrPair
 from ..dataset import numeric_view
 from ..errors import ApplicabilityError
+from ..records import Record
 from . import anomaly, clustering, distribution, rules
 from .anomaly import OutlierReport, anomaly_diversity, anomaly_summary, knn_outliers
 from .clustering import ClusterSummary, clustering_diversity, kmeans_summary
@@ -42,21 +43,13 @@ class MetricParams:
 
 
 @dataclass(frozen=True)
-class DiversityScore:
+class DiversityScore(Record):
     mr_id: str
     metric: str
     raw: float
     normalized: float | None = None
-    catalog_index: int = 0
+    catalog_index: int = field(default=0, metadata={"export": False})
     diagnostics: dict = field(default_factory=dict, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "mr_id": self.mr_id,
-            "metric": self.metric,
-            "raw": self.raw,
-            "normalized": self.normalized,
-        }
 
 
 # metric -> (summarize(dataset, params), compare(summary_s, summary_f)).  The

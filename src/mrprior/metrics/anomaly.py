@@ -21,33 +21,26 @@ import numpy as np
 
 from ..catalog import round_half_up
 from ..dataset import Dataset, NumericView, numeric_view
-from ..errors import ApplicabilityError, InvariantError
+from ..errors import ApplicabilityError, InputError, InvariantError
+from ..records import Record
 
 # float64 elements in one block's rows x n x d difference tensor (4 MB)
 BLOCK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
-class OutlierReport:
+class OutlierReport(Record):
     indices: tuple[int, ...]   # flagged rows, ascending
     scores: np.ndarray         # kth-NN distance per row
     k: int
     contamination: float
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "scores": [float(s) for s in self.scores],
-            "k": self.k,
-            "contamination": self.contamination,
-        }
-
 
 def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> OutlierReport:
     if k < 1:
-        raise ApplicabilityError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
     if not 0 < contamination < 1:
-        raise ApplicabilityError(f"contamination must be in (0, 1), got {contamination}")
+        raise InputError(f"contamination must be in (0, 1), got {contamination}")
     n = view.n_rows
     if n <= k:
         raise ApplicabilityError(f"need more than k={k} rows, got {n}")

@@ -9,16 +9,17 @@ re-seeded to the point farthest from its currently assigned centroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..dataset import Dataset, NumericView, numeric_view
-from ..errors import ApplicabilityError, InvariantError
+from ..errors import ApplicabilityError, InputError, InvariantError
+from ..records import Record
 
 
 @dataclass(frozen=True)
-class ClusterSummary:
+class ClusterSummary(Record):
     k: int
     centroids: np.ndarray
     sizes: tuple[int, ...]
@@ -26,18 +27,8 @@ class ClusterSummary:
     size_total: int             # sum of cluster sizes (= rows)
     within_avg: float           # mean distance from a point to its centroid
     n_iters: int
-    objective_trace: tuple[float, ...]  # sum of squared distances, per assignment
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": [[float(v) for v in c] for c in self.centroids],
-            "sizes": list(self.sizes),
-            "between_total": self.between_total,
-            "size_total": self.size_total,
-            "within_avg": self.within_avg,
-            "n_iters": self.n_iters,
-        }
+    # sum of squared distances, per assignment
+    objective_trace: tuple[float, ...] = field(metadata={"export": False})
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -62,13 +53,13 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def kmeans_summary(
     view: NumericView, k: int = 3, seed: int = 0, max_iters: int = 100
 ) -> ClusterSummary:
-    n = view.n_rows
     if k < 1:
-        raise ApplicabilityError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
+    if max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, got {max_iters}")
+    n = view.n_rows
     if n < k:
         raise ApplicabilityError(f"need at least k={k} rows, got {n}")
-    if max_iters < 1:
-        raise ApplicabilityError(f"max_iters must be >= 1, got {max_iters}")
 
     # canonical order: lexicographic by feature 0, then 1, ...
     points = view.matrix[np.lexsort(view.matrix.T[::-1])]

@@ -14,10 +14,11 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import ApplicabilityError
+from ..records import Record
 
 
 @dataclass(frozen=True)
-class AttributeStats:
+class AttributeStats(Record):
     name: str
     count: int
     range: float
@@ -27,31 +28,12 @@ class AttributeStats:
     kurtosis: float
     shape_flagged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "range": self.range,
-            "variance": self.variance,
-            "stddev": self.stddev,
-            "skewness": self.skewness,
-            "kurtosis": self.kurtosis,
-            "shape_flagged": self.shape_flagged,
-        }
-
 
 @dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(Record):
     attributes: tuple[AttributeStats, ...]
     shape_total: float    # sum over attributes of skewness + kurtosis
     spread_total: float   # sum over attributes of range + variance + stddev
-
-    def to_dict(self) -> dict:
-        return {
-            "attributes": [a.to_dict() for a in self.attributes],
-            "shape_total": self.shape_total,
-            "spread_total": self.spread_total,
-        }
 
 
 def _column_stats(name: str, values: np.ndarray) -> AttributeStats:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataset import Dataset, mean_imputed
-from ..errors import ApplicabilityError
+from ..errors import ApplicabilityError, InputError
+from ..records import Record
 
 OP_EQ = "="
 OP_LE = "<="
@@ -25,17 +26,14 @@ _OP_RANK = {OP_EQ: 0, OP_LE: 1, OP_GT: 2}
 
 
 @dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     attribute: str
     operator: str
     value: str | float
 
-    def to_dict(self) -> dict:
-        return {"attribute": self.attribute, "operator": self.operator, "value": self.value}
-
 
 @dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     conditions: tuple[Condition, ...]
     predicted_class: str
     coverage: int          # rows covered at induction time
@@ -48,25 +46,11 @@ class Rule:
             self.predicted_class,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "conditions": [c.to_dict() for c in self.conditions],
-            "predicted_class": self.predicted_class,
-            "coverage": self.coverage,
-            "accuracy": self.accuracy,
-        }
-
 
 @dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     rules: tuple[Rule, ...]
     default_class: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rules": [r.to_dict() for r in self.rules],
-            "default_class": self.default_class,
-        }
 
 
 @dataclass(frozen=True)
@@ -78,9 +62,9 @@ class Cn2Params:
 
     def __post_init__(self) -> None:
         if self.beam_width < 1 or self.min_covered < 1 or self.max_conditions < 1:
-            raise ApplicabilityError("CN2 parameters must all be >= 1")
+            raise InputError("CN2 parameters must all be >= 1")
         if self.bins < 2:
-            raise ApplicabilityError(f"bins must be >= 2, got {self.bins}")
+            raise InputError(f"bins must be >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)

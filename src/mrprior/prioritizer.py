@@ -6,39 +6,25 @@ from dataclasses import dataclass, replace
 
 from .errors import ApplicabilityError, InputError
 from .metrics import DiversityScore
+from .records import Record
 
 
 @dataclass(frozen=True)
-class RankEntry:
+class RankEntry(Record):
     mr_id: str
     raw: float
     normalized: float
     rank: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mr_id": self.mr_id,
-            "raw": self.raw,
-            "normalized": self.normalized,
-            "rank": self.rank,
-        }
-
 
 @dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     metric: str
     entries: tuple[RankEntry, ...]
     tie_note: bool   # set when every raw value was identical (degenerate span)
 
     def ordering(self) -> tuple[str, ...]:
         return tuple(e.mr_id for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "tie_note": self.tie_note,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 def _check_scores(scores: list[DiversityScore]) -> None:

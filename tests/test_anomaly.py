@@ -12,6 +12,7 @@ import pytest
 import mrprior
 from mrprior import (
     ApplicabilityError,
+    InputError,
     MrSpec,
     anomaly_diversity,
     apply_mr,
@@ -107,7 +108,7 @@ class TestKnnOutliers:
 
     def test_rejects_bad_contamination(self):
         d = make_dataset({"x": [1.0, 2.0, 3.0]})
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             knn_outliers(numeric_view(d), k=1, contamination=0.0)
 
 

@@ -243,6 +243,8 @@ SPEC_FAULTS = [
      "transform 'add_data_points' is randomized and needs seed="),
     ("add_data_points", {}, 2, "add_data_points needs count="),
     ("add_data_points", {"count": 0}, 2, "add_data_points count must be >= 1, got 0"),
+    ("permute_instances", {}, -1, "seed must be >= 0, got -1"),
+    ("add_data_points", {"count": 3}, -2, "seed must be >= 0, got -2"),
 ]
 
 

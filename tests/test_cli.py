@@ -736,3 +736,93 @@ def test_out_of_range_number_exits_2_and_writes_nothing(config_workspace, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(ws["dir"].iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "metric, flag, value, message",
+    [
+        ("anomaly", "--contamination", "nan", "contamination must be in (0, 1), got nan"),
+        ("anomaly", "--knn-k", "0", "k must be >= 1, got 0"),
+        ("clustering", "--kmeans-k", "0", "k must be >= 1, got 0"),
+        ("clustering", "--kmeans-max-iters", "0", "max_iters must be >= 1, got 0"),
+        ("rule", "--bins", "1", "bins must be >= 2, got 1"),
+        ("rule", "--beam-width", "0", "CN2 parameters must all be >= 1"),
+    ],
+    ids=["contamination", "knn-k", "kmeans-k", "kmeans-max-iters", "bins", "beam-width"],
+)
+def test_bad_metric_parameter_exits_2_once(config_workspace, monkeypatch, capsys,
+                                           metric, flag, value, message):
+    # a bad parameter is one input error, not one "not applicable" line per MR
+    ws = config_workspace
+    monkeypatch.chdir(ws["dir"])
+    rc = main(["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+               "--catalog", ws["catalog"], "--metric", metric, flag, value, "--out", "r.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws["dir"] / "r.json").exists()
+
+
+@pytest.fixture
+def seed_workspace(config_workspace):
+    """config_workspace plus two reports over 24 mutants: enough for a sampled null."""
+    ws = dict(config_workspace)
+    d = ws["dir"]
+    assert main(["synth", "--mrs", "2", "--mutants", "24", "--kill-prob", "0.5", "--seed", "1",
+                 "--out-kills", str(d / "k24.csv"), "--out-times", str(d / "t24.csv")]) == 0
+    for name in ("treat", "base"):
+        ws[name] = str(d / f"{name}24.json")
+        assert main(["evaluate", "--order", str(d / f"{name}_order.json"),
+                     "--kills", str(d / "k24.csv"),
+                     "--times", str(d / "t24.csv"), "--out", ws[name]]) == 0
+    return ws
+
+
+NEGATIVE_SEEDS = {
+    "prioritize": lambda ws: ["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+                              "--catalog", ws["catalog"], "--metric", "clustering"],
+    "evaluate": lambda ws: ["evaluate", "--order", ws["order"], "--kills", ws["kills"],
+                            "--times", ws["times"]],
+    "baseline": lambda ws: ["baseline", "random", "--kills", ws["kills"], "--times", ws["times"]],
+    "compare": lambda ws: ["compare", "--treatment", ws["treat"], "--baseline", ws["base"]],
+    "synth": lambda ws: ["synth", "--mrs", "3", "--mutants", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_flag_exits_2(seed_workspace, monkeypatch, capsys, command):
+    ws = seed_workspace
+    monkeypatch.chdir(ws["dir"])
+    before = sorted(ws["dir"].iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main([*NEGATIVE_SEEDS[command](ws), "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("argument --seed: seed must be >= 0, got -1\n")
+    assert "Traceback" not in err
+    assert sorted(ws["dir"].iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_in_config_exits_2(seed_workspace, monkeypatch, capsys, command):
+    ws = seed_workspace
+    monkeypatch.chdir(ws["dir"])
+    assert run_with_config(ws, NEGATIVE_SEEDS[command](ws), {"seed": -3}) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {ws['dir'] / 'cfg.json'}: argument --seed: " \
+                  "seed must be >= 0, got -3\n"
+
+
+def test_non_integer_seed_message_is_unchanged(workspace, capsys):
+    with pytest.raises(SystemExit):
+        main(["synth", "--mrs", "3", "--mutants", "4", "--seed", "1.5"])
+    assert capsys.readouterr().err.endswith("argument --seed: invalid int value: '1.5'\n")
+
+
+def test_negative_catalog_seed_cites_its_line(config_workspace, monkeypatch, capsys):
+    ws = config_workspace
+    monkeypatch.chdir(ws["dir"])
+    write(ws["dir"] / "neg.txt", "MR1 x permute_instances seed=-1\n")
+    rc = main(["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+               "--catalog", "neg.txt", "--metric", "distribution", "--out", "r.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: neg.txt: line 1: seed must be >= 0, got -1\n"

@@ -5,7 +5,7 @@ import pytest
 
 from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import numeric_view
-from mrprior.errors import ApplicabilityError
+from mrprior.errors import ApplicabilityError, InputError
 from mrprior.metrics.clustering import clustering_diversity, kmeans_summary
 
 from conftest import make_dataset, random_dataset
@@ -105,11 +105,11 @@ class TestKmeansSummary:
 
     def test_rejects_bad_parameters(self):
         view = numeric_view(two_blob_dataset(), standardize=False)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             kmeans_summary(view, k=0)
         with pytest.raises(ApplicabilityError):
             kmeans_summary(view, k=11)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             kmeans_summary(view, k=2, max_iters=0)
 
 

@@ -99,6 +99,22 @@ class TestCsv:
         with pytest.raises(InputError, match="line 3"):
             load_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "text, header, line",
+        [
+            ("a,b\n\n1,2\n\n3\n", True, 5),
+            ("a,b\n\n1,2\n\n3\n", False, 5),
+            ('a,b\n"x\ny"\n\n3,4\n', True, 2),   # a record on lines 2-3 cites its first
+        ],
+        ids=["blank-lines", "blank-lines-no-header", "quoted-newline"],
+    )
+    def test_ragged_row_cites_its_file_line(self, tmp_path, text, header, line):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as exc:
+            load_csv(str(p), header=header)
+        assert str(exc.value) == f"{p}: line {line}: expected 2 fields, got 1"
+
     def test_unknown_class_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")

@@ -6,6 +6,9 @@
   ``clustering`` do).
 * ``score_catalog``, which summarizes each source once and shares it, gives
   the same raw scores and diagnostics as scoring each pair on its own.
+* Every metric's summary, every score and the ranking export plain JSON
+  data: ``to_dict()`` needs no ``default=`` hook and survives a JSON round
+  trip unchanged.
 """
 
 import json
@@ -16,7 +19,17 @@ from hypothesis import strategies as st
 
 from mrprior.catalog import MrPair, MrSpec, apply_mr, build_pairs
 from mrprior.errors import ApplicabilityError
-from mrprior.metrics import METRICS, score_catalog, score_pair
+from mrprior.dataset import numeric_view
+from mrprior.metrics import (
+    METRICS,
+    anomaly_summary,
+    cn2_induce,
+    dist_summary,
+    kmeans_summary,
+    score_catalog,
+    score_pair,
+)
+from mrprior.prioritizer import normalize, rank
 
 from conftest import make_dataset
 
@@ -104,6 +117,34 @@ def test_score_catalog_matches_pairwise_scoring(source, seed):
             alone = score_pair(pair, metric)
             assert (score.mr_id, score.raw) == (alone.mr_id, alone.raw)
             assert _same(score.diagnostics, alone.diagnostics)
+
+
+def _round_trips(exported) -> bool:
+    return json.loads(json.dumps(exported)) == exported
+
+
+@settings(max_examples=30, **COMMON)
+@given(source=mixed_datasets(), seed=st.integers(0, 2**16))
+def test_exports_are_plain_json(source, seed):
+    summaries = [
+        cn2_induce(source),
+        anomaly_summary(source).report,
+        kmeans_summary(numeric_view(source), seed=seed),
+        dist_summary(source),
+    ]
+    for summary in summaries:
+        assert _round_trips(summary.to_dict()), type(summary).__name__
+    catalog = [
+        MrSpec("MR1", "ident", "identity"),
+        MrSpec("MR2", "points", "add_data_points", {"count": 3}, seed=seed),
+        MrSpec("MR3", "dup", "duplicate_instances", {"fraction": 0.3}, seed=seed),
+    ]
+    pairs = build_pairs(catalog, source)
+    for metric in METRICS:
+        scores = normalize(score_catalog(pairs, metric))
+        for score in scores:
+            assert _round_trips(score.to_dict()), (metric, score.mr_id)
+        assert _round_trips(rank(scores).to_dict()), metric
 
 
 def test_failing_source_fails_every_pair():

@@ -5,7 +5,7 @@ import pytest
 
 from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import Attribute
-from mrprior.errors import ApplicabilityError
+from mrprior.errors import ApplicabilityError, InputError
 from mrprior.metrics.rules import (
     OP_EQ,
     OP_LE,
@@ -144,11 +144,11 @@ class TestCn2Induce:
             cn2_induce(empty)
 
     def test_parameter_validation(self):
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             Cn2Params(beam_width=0)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             Cn2Params(min_covered=0)
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(InputError):
             Cn2Params(bins=1)
 
 

@@ -7,11 +7,13 @@ contribute equality selectors.  Rule quality is Laplace accuracy
 then the earlier attribute order.  Induction removes the rows a rule covers
 and stops when fewer than ``min_covered`` rows remain or no candidate beats
 the Laplace accuracy of predicting the default class on the remaining rows.
+Masks over rows are packed bitsets, so each beam level scores all of its
+candidates with one AND and one popcount.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +76,6 @@ class _Selector:
     operator: str
     value: str | float
     value_rank: float
-    mask: np.ndarray = field(repr=False, compare=False)
 
     @property
     def key(self) -> tuple:
@@ -100,8 +101,33 @@ def _impute_columns(dataset: Dataset) -> list[np.ndarray]:
     return columns
 
 
-def _build_selectors(dataset: Dataset, columns: list[np.ndarray], bins: int) -> list[_Selector]:
+def _pack(masks: np.ndarray) -> np.ndarray:
+    """Bool masks over rows as bitsets of uint64 words along the last axis.
+
+    The bits past the last row are 0, so ANDs and counts need no trimming.
+    """
+    n_rows = masks.shape[-1]
+    packed = np.zeros(masks.shape[:-1] + (-(-n_rows // 64) * 8,), dtype=np.uint8)
+    packed[..., : -(-n_rows // 8)] = np.packbits(masks, axis=-1)
+    return packed.view(np.uint64)
+
+
+def _count(bits: np.ndarray) -> np.ndarray:
+    """Rows in each bitset of the last axis."""
+    return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
+
+
+def _build_selectors(
+    dataset: Dataset, columns: list[np.ndarray], bins: int
+) -> tuple[list[_Selector], np.ndarray]:
+    """Selectors in attribute order, one per key, and their packed masks.
+
+    The equal-width cuts of a column that spans a few ULPs can round to the
+    same value; a repeated cut would repeat a key and its mask, so it is
+    dropped.
+    """
     selectors: list[_Selector] = []
+    masks: list[np.ndarray] = []
     for j in dataset.non_class_indices():
         attr = dataset.attributes[j]
         col = columns[j]
@@ -109,82 +135,79 @@ def _build_selectors(dataset: Dataset, columns: list[np.ndarray], bins: int) -> 
             lo, hi = float(col.min()), float(col.max())
             if hi <= lo:
                 continue
-            for step in range(1, bins):
-                cut = lo + (hi - lo) * step / bins
-                selectors.append(
-                    _Selector(j, attr.name, OP_LE, cut, cut, col <= cut)
-                )
-                selectors.append(
-                    _Selector(j, attr.name, OP_GT, cut, cut, col > cut)
-                )
+            for cut in dict.fromkeys(lo + (hi - lo) * step / bins for step in range(1, bins)):
+                selectors.append(_Selector(j, attr.name, OP_LE, cut, cut))
+                masks.append(col <= cut)
+                selectors.append(_Selector(j, attr.name, OP_GT, cut, cut))
+                masks.append(col > cut)
         else:
             for rank, value in enumerate(attr.values):
-                selectors.append(
-                    _Selector(j, attr.name, OP_EQ, value, float(rank), col == rank)
-                )
-    return selectors
-
-
-def _laplace(counts: np.ndarray, covered: int, n_classes: int) -> tuple[float, int]:
-    best = int(counts.argmax())
-    return (float(counts[best]) + 1.0) / (covered + n_classes), best
+                selectors.append(_Selector(j, attr.name, OP_EQ, value, float(rank)))
+                masks.append(col == rank)
+    return selectors, _pack(np.array(masks, dtype=bool).reshape(len(masks), dataset.n_rows))
 
 
 def _best_rule(
-    selectors: list[_Selector],
+    keys: list[tuple],
+    slots: np.ndarray,
+    selector_bits: np.ndarray,
+    class_bits: np.ndarray,
     remaining: np.ndarray,
-    class_codes: np.ndarray,
-    n_classes: int,
     params: Cn2Params,
 ):
     """Beam search for the highest-Laplace rule over the remaining rows.
 
-    Returns (laplace, key, selector-set, mask, covered, predicted) or None.
+    ``slots`` numbers each selector's (attribute, operator) pair; a rule
+    uses each pair at most once.  Candidates rank by (-Laplace, conditions,
+    sorted selector keys), and a selector set reached from two beam parents
+    is one candidate.  Returns (laplace, selector indices, packed mask,
+    covered, predicted) or None.
     """
+    n_classes = class_bits.shape[0]
     best = None
-
-    def consider(candidate):
-        nonlocal best
-        if best is None or candidate[:3] < best[:3]:
-            best = candidate
-
-    beam: list[tuple] = []
-    seen: set[frozenset] = set()
+    # (sorted keys, selector indices, bits, selectors whose slot is free)
+    beam: list[tuple] = [((), (), remaining, np.ones(len(keys), dtype=bool))]
     for depth in range(params.max_conditions):
-        if depth == 0:
-            expansions = [((), None)]
-        else:
-            expansions = [(entry[3], entry[4]) for entry in beam]
-        level: list[tuple] = []
-        for sel_set, base_mask in expansions:
-            used_slots = {(s.attr_index, s.operator) for s in sel_set}
-            for sel in selectors:
-                if (sel.attr_index, sel.operator) in used_slots:
-                    continue
-                new_set = sel_set + (sel,)
-                fingerprint = frozenset(s.key for s in new_set)
-                if fingerprint in seen:
-                    continue
-                seen.add(fingerprint)
-                mask = (base_mask & sel.mask) if base_mask is not None else (remaining & sel.mask)
-                covered = int(mask.sum())
-                if covered < params.min_covered:
-                    continue
-                counts = np.bincount(class_codes[mask], minlength=n_classes)
-                laplace, predicted = _laplace(counts, covered, n_classes)
-                key = tuple(sorted(s.key for s in new_set))
-                entry = (-laplace, len(new_set), key, new_set, mask, covered, predicted)
-                level.append(entry)
-                consider(entry)
-        if not level:
+        parent, sel = np.nonzero(np.array([free for *_, free in beam]))
+        # one AND per level: each (parent, free selector) pair with each class
+        hits = (np.array([bits for _, _, bits, _ in beam])[:, None, :] & class_bits)[parent]
+        hits &= selector_bits[sel][:, None, :]
+        counts = _count(hits)
+        covered = counts.sum(axis=1)
+        laplace = (counts.max(axis=1) + 1.0) / (covered + n_classes)
+        eligible = np.flatnonzero(covered >= params.min_covered)
+        if eligible.size == 0:
             break
-        level.sort(key=lambda e: (e[0], e[1], e[2]))
-        beam = level[: params.beam_width]
-
-    if best is None:
-        return None
-    neg_laplace, _, key, sel_set, mask, covered, predicted = best
-    return -neg_laplace, key, sel_set, mask, covered, predicted
+        # Walk whole tie groups in descending Laplace, deduplicating, until
+        # beam_width distinct sets are in hand; no later group can enter
+        # the beam.  The cutoff must count distinct sets, not candidates.
+        order = eligible[np.argsort(-laplace[eligible])]
+        ends = (np.flatnonzero(np.diff(laplace[order])) + 1).tolist() + [order.size]
+        order, parent, sel = order.tolist(), parent.tolist(), sel.tolist()
+        level: dict[tuple, int] = {}
+        start = 0
+        for end in ends:
+            for i in order[start:end]:
+                level.setdefault(tuple(sorted(beam[parent[i]][0] + (keys[sel[i]],))), i)
+            if len(level) >= params.beam_width:
+                break
+            start = end
+        ranked = sorted((-float(laplace[i]), key, i) for key, i in level.items())
+        next_beam = []
+        for _, key, i in ranked[: params.beam_width]:
+            _, chosen, bits, free = beam[parent[i]]
+            s = sel[i]
+            next_beam.append(
+                (key, chosen + (s,), bits & selector_bits[s], free & (slots != slots[s]))
+            )
+        beam = next_beam
+        # a longer rule must beat the best so far outright: ties prefer
+        # fewer conditions
+        neg_laplace, _, i = ranked[0]
+        if best is None or -neg_laplace > best[0]:
+            _, chosen, bits, _ = beam[0]
+            best = (-neg_laplace, chosen, bits, int(covered[i]), int(counts[i].argmax()))
+    return best
 
 
 def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
@@ -205,28 +228,30 @@ def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
     class_codes = columns[dataset.class_index]
     n_classes = len(class_attr.values)
     default_code = int(np.bincount(class_codes, minlength=n_classes).argmax())
-    selectors = _build_selectors(dataset, columns, params.bins)
+    selectors, selector_bits = _build_selectors(dataset, columns, params.bins)
+    keys = [s.key for s in selectors]
+    slots = np.array([attr * len(_OP_RANK) + op for attr, op, _ in keys], dtype=np.int64)
+    class_bits = _pack(class_codes == np.arange(n_classes)[:, None])
 
     rules: list[Rule] = []
-    remaining = np.ones(dataset.n_rows, dtype=bool)
-    while int(remaining.sum()) >= params.min_covered:
-        found = _best_rule(selectors, remaining, class_codes, n_classes, params)
+    remaining = _pack(np.ones(dataset.n_rows, dtype=bool))
+    while (n_remaining := int(_count(remaining))) >= params.min_covered:
+        found = _best_rule(keys, slots, selector_bits, class_bits, remaining, params)
         if found is None:
             break
-        laplace, _, sel_set, mask, covered, predicted = found
-        n_remaining = int(remaining.sum())
-        default_count = int((class_codes[remaining] == default_code).sum())
+        laplace, chosen, bits, covered, predicted = found
+        default_count = int(_count(remaining & class_bits[default_code]))
         default_laplace = (default_count + 1.0) / (n_remaining + n_classes)
         if laplace <= default_laplace:
             break
         conditions = tuple(
             Condition(s.attribute, s.operator, s.value)
-            for s in sorted(sel_set, key=lambda s: s.key)
+            for s in sorted((selectors[k] for k in chosen), key=lambda s: s.key)
         )
         rules.append(
             Rule(conditions, class_attr.values[predicted], covered, laplace)
         )
-        remaining &= ~mask
+        remaining &= ~bits
 
     return RuleSet(tuple(rules), class_attr.values[default_code])
 

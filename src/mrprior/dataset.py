@@ -186,13 +186,16 @@ def load_csv(
     """
     records: list[list[str]] = []
     ragged = None   # (file line, field count) of the first record unlike the first one
+    first = 1       # the file line the first record starts on
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             start = 1   # the file line the next record starts on
             for record in reader:
                 if record:   # a blank line is no record
-                    if records and ragged is None and len(record) != len(records[0]):
+                    if not records:
+                        first = start
+                    elif ragged is None and len(record) != len(records[0]):
                         ragged = (start, len(record))
                     records.append(record)
                 start = reader.line_num + 1
@@ -203,6 +206,8 @@ def load_csv(
 
     if header:
         names = [cell.strip() for cell in records[0]]
+        if "" in names:
+            raise InputError(f"{path}: line {first}: column {names.index('') + 1} has an empty name")
         if len(set(names)) != len(names):
             raise InputError(f"{path}: duplicate column names in header")
         body = records[1:]

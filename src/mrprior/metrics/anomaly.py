@@ -5,16 +5,23 @@ neighbour (itself excluded); the round-half-up(contamination * rows)
 highest-scoring instances are flagged, ties resolved toward lower row
 indices.
 
-Distances are computed in row blocks of a fixed element budget, one worker
-thread per usable CPU, so memory is O(n * d) rather than O(n^2 * d).  Each
-pairwise squared distance uses the same expression and reduction axis as a
-whole-matrix computation, so scores do not depend on the block size or the
-number of workers.
+Scores are found by filter and refine, in blocks of rows.  A BLAS product
+gives every squared distance of a block approximately, as
+``|x_i|^2 + |x_j|^2 - 2 x_i.x_j``.  That form and the exact one differ by
+at most (4d + 8) u (|x_i|^2 + max_j |x_j|^2) to first order (u = 2^-53;
+derived in ``knn_outliers``).  With E twice that bound, plus a term for
+underflow, a row's kth neighbour lies among the columns whose
+approximation is within 2E of the row's kth smallest one; the filter keeps
+those, usually about k columns per row.
+The candidates are then scored exactly, with the same expression and
+reduction axis as a whole-matrix computation, so every score is bit-equal
+to the brute-force result and does not depend on the block size or on how
+BLAS orders its sums.  Memory is O(n * d) plus a few arrays of one block's
+size (1 MB): 20,000 rows x 8 columns peak at about 3 MB traced.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +31,11 @@ from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
 
-# float64 elements in one block's rows x n x d difference tensor (4 MB)
-BLOCK_ELEMENTS = 2**19
+# float64 elements in one block's rows x n approximate distances (1 MB)
+BLOCK_ELEMENTS = 2**17
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -46,24 +56,61 @@ def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> 
         raise ApplicabilityError(f"need more than k={k} rows, got {n}")
 
     x = view.matrix
-    rows = max(1, BLOCK_ELEMENTS // (n * x.shape[1]))
+    d = x.shape[1]
+    rows = max(1, BLOCK_ELEMENTS // n)
     kth_squared = np.empty(n)
 
-    def block(a: int) -> None:
+    # Filter: if |approx - exact| <= E_i for every column of row i, then the
+    # k columns with the smallest approximations have exact values at most
+    # kth_i + E_i, so every column that can hold the kth smallest exact value
+    # has approx <= kth_i + 2 E_i.  Bounding E_i, with u the unit roundoff,
+    # N the true squared norms and t = |x_i - x_j|^2 <= 2 (N_i + N_j)
+    # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
+    # - each norm s is a d-term sum of squares: |s - N| <= d u N;
+    # - the BLAS dot product g, summed in any order, with or without FMA:
+    #   |g - x_i.x_j| <= d u (N_i + N_j) / 2;
+    # - forming s_i + s_j - 2g rounds twice on values below 2 (N_i + N_j);
+    #   so |approx - t| <= (2d + 4) u (N_i + N_j), to first order;
+    # - the exact expression rounds each difference and square, then sums d
+    #   terms: |exact - t| <= (d + 2) u t <= (2d + 4) u (N_i + N_j).
+    # E_i takes twice the sum, 8 (d + 2) u (s_i + max s), which covers the
+    # second-order terms and the rounding of the limit itself.  Underflow
+    # adds at most one smallest normal per operation, flush-to-zero
+    # included, and a pair takes fewer than 16 (d + 2) operations.  While
+    # 8 max s is finite no approximate or exact squared distance overflows;
+    # otherwise E_i is infinite and every column is a candidate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (x * x).sum(axis=1)
+        top = norms.max()
+        slack = 8 * (d + 2) * _UNIT_ROUNDOFF if np.isfinite(8 * top) else np.inf
+    floor = 16 * (d + 2) * _SMALLEST_NORMAL
+
+    for a in range(0, n, rows):
         b = min(a + rows, n)
-        squared = ((x[a:b, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-        squared[np.arange(b - a), np.arange(a, b)] = np.inf
-        squared.partition(k - 1, axis=1)
-        kth_squared[a:b] = squared[:, k - 1]
+        diagonal = (np.arange(b - a), np.arange(a, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = x[a:b] @ x.T
+            approx *= -2
+            approx += norms
+            approx += norms[a:b, None]
+            approx[diagonal] = np.inf
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            limit = kth + 2 * (slack * (norms[a:b] + top) + floor)   # kth + 2 E
+            # NaN compares false, so a NaN approximation or limit keeps its column
+            near = ~(approx > limit[:, None])
+        near[diagonal] = False
 
-    # imported here: concurrent.futures pulls in logging, which every CLI
-    # call would otherwise pay for at start-up
-    from concurrent.futures import ThreadPoolExecutor
+        # row-major, so i ascends; flat indices are several times faster
+        # to find than np.nonzero's pair of index arrays
+        i, j = np.divmod(np.flatnonzero(near), n)
+        exact = ((x[a + i] - x[j]) ** 2).sum(axis=-1)
+        counts = np.bincount(i, minlength=b - a)
+        if counts.min() < k:
+            raise InvariantError(f"fewer than k={k} kth-NN candidates in a row")
+        # each row's candidates in ascending distance, then its kth one
+        order = np.lexsort((exact, i))
+        kth_squared[a:b] = exact[order[np.cumsum(counts) - counts + (k - 1)]]
 
-    starts = range(0, n, rows)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
-        # list() reads every result, so an exception in a block is re-raised
-        list(pool.map(block, starts))
     # sqrt is correctly rounded and monotone: the root of the kth smallest
     # squared distance is the kth smallest distance
     scores = np.sqrt(kth_squared)
@@ -76,13 +123,6 @@ def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> 
         raise InvariantError("an unflagged row outscores a flagged one")
 
     return OutlierReport(flagged, scores, k, contamination)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # not every platform has sched_getaffinity
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

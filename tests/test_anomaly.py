@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mrprior
 from mrprior import (
@@ -29,13 +32,14 @@ def oracle_kth_nn_scores(matrix, k):
     """Brute-force double loop: per-pair distances, per-row sort, kth pick."""
     n = len(matrix)
     scores = []
-    for i in range(n):
-        dists = sorted(
-            float(np.sqrt(np.sum((matrix[i] - matrix[j]) ** 2)))
-            for j in range(n)
-            if j != i
-        )
-        scores.append(dists[k - 1])
+    with np.errstate(all="ignore"):   # squares of huge cells overflow to inf
+        for i in range(n):
+            dists = sorted(
+                float(np.sqrt(np.sum((matrix[i] - matrix[j]) ** 2)))
+                for j in range(n)
+                if j != i
+            )
+            scores.append(dists[k - 1])
     return scores
 
 
@@ -146,42 +150,52 @@ class TestBlockedKernel:
         assert report.indices == (0, 1, 19)
         assert report.scores[1] == report.scores[2]
 
-    def test_worker_count_does_not_change_scores(self, monkeypatch):
-        monkeypatch.setattr(anomaly, "BLOCK_ELEMENTS", 200)
-        results = []
-        for workers in (1, 2, 5):
-            monkeypatch.setattr(anomaly, "_usable_cpus", lambda: workers)
-            results.append([knn_outliers(v, k, c) for v, k, c in blocked_cases()])
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                assert np.array_equal(a.scores, b.scores)
-                assert a.indices == b.indices
-
-    def test_block_error_is_raised(self, monkeypatch):
-        class BadCell(float):
-            def __sub__(self, other):
-                raise FloatingPointError("bad cell")
-
-            __rsub__ = __sub__
-
-        monkeypatch.setattr(anomaly, "BLOCK_ELEMENTS", 10)
-        matrix = np.array([[float(i)] for i in range(12)], dtype=object)
-        matrix[9, 0] = BadCell(9.0)   # every block subtracts this cell
-        view = SimpleNamespace(matrix=matrix, n_rows=12)
-        with pytest.raises(FloatingPointError):
-            knn_outliers(view, k=3, contamination=0.1)
-
     def test_memory_is_bounded(self):
-        # the whole 3000 x 3000 x 8 difference tensor would be 576 MB
+        # the whole 20000 x 20000 x 8 difference tensor would be 25.6 GB; a
+        # block of approximate distances is 1 MB
         rng = np.random.default_rng(28)
-        view = numeric_view(make_dataset({f"x{j}": list(rng.normal(0, 1, 3000)) for j in range(8)}))
+        view = SimpleNamespace(matrix=rng.normal(0, 1, (20000, 8)), n_rows=20000)
         tracemalloc.start()
         try:
             knn_outliers(view, k=5, contamination=0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_filter_adds_no_warnings(self):
+        # squares of 1e200 overflow: the filter's norms and products do so
+        # silently, and the exact step warns once, as the whole-matrix
+        # expression does
+        rng = np.random.default_rng(30)
+        matrix = rng.normal(0, 1, (30, 3)) * np.array([1e200, 1.0, 1e-200])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = knn_outliers(SimpleNamespace(matrix=matrix, n_rows=30), k=3, contamination=0.1)
+        assert [str(w.message) for w in caught] == ["overflow encountered in square"]
+        assert np.array_equal(report.scores, oracle_kth_nn_scores(matrix, 3))
+
+    def test_blas_thread_count_does_not_change_output(self, tmp_path):
+        rng = np.random.default_rng(31)
+        rows = ["a,b,c,d"] + [",".join(f"{v:.6g}" for v in rng.normal(0, 1, 4)) for _ in range(600)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "catalog.txt").write_text(
+            "MR1 ident identity\n"
+            "MR2 shuffle permute_instances seed=1\n"
+            "MR3 dup duplicate_instances fraction=0.3 seed=2\n"
+            "MR4 shift affine_numeric columns=a shift=3\n"
+        )
+        src = str(Path(mrprior.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "mrprior.cli", "prioritize", "--dataset", "data.csv",
+                "--catalog", "catalog.txt", "--metric", "anomaly", "--out", "rank.json",
+                "--diagnostics", "diag.json"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(argv, cwd=tmp_path, env=env, check=True, timeout=120)
+            outputs.append([(tmp_path / name).read_bytes() for name in ("rank.json", "diag.json")])
+        assert outputs[0] == outputs[1]
 
     def test_cli_import_leaves_thread_pool_out(self):
         src = str(Path(mrprior.__file__).resolve().parent.parent)
@@ -190,6 +204,56 @@ class TestBlockedKernel:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+def adversarial_matrix(kind, seed, n, d):
+    rng = np.random.default_rng(seed)
+    if kind == "scaled":
+        # unstandardized columns from 1e-300 to 1e300, often near where a
+        # square overflows (1.3e154 squares to just below the largest double)
+        # or is subnormal (1e-155, 1e-160); half the time one scale for every
+        # column
+        scales = rng.choice([1.0, 1e-300, 1e-160, 1e-155, 1.3e154, 1e153, 1e300,
+                             *10.0 ** rng.integers(-300, 301, 2)], d)
+        if rng.random() < 0.5:
+            scales[:] = scales[0]
+        return rng.uniform(-1, 1, (n, d)) * scales
+    if kind == "near-duplicates":
+        # rows a few ULPs apart around 1e6: the approximate distances are
+        # all rounding error, so the filter's bound decides every candidate
+        return 1e6 + rng.integers(-4, 5, (n, d)) * np.spacing(1e6)
+    # an integer lattice: tied distances; at 1e-158 and below its squares are
+    # subnormal, where rounding errors are absolute rather than relative
+    return rng.integers(-2, 3, (n, d)) * rng.choice([1.0, *10.0 ** rng.integers(-165, -157, 1)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["scaled", "near-duplicates", "lattice"]),
+    seed=st.integers(0, 2**32 - 1),
+    # d crosses numpy's 8-wide pairwise-sum unroll at 8 and 16
+    d=st.integers(1, 30),
+    k=st.integers(1, 8),
+    extra_rows=st.integers(0, 30),
+    budget=st.sampled_from([1, 50, 997, anomaly.BLOCK_ELEMENTS]),
+    contamination=st.sampled_from([0.05, 0.1, 0.3]),
+)
+def test_filter_and_refine_is_bit_exact(kind, seed, d, k, extra_rows, budget, contamination):
+    matrix = adversarial_matrix(kind, seed, k + 1 + extra_rows, d)
+    view = SimpleNamespace(matrix=matrix, n_rows=len(matrix))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anomaly, "BLOCK_ELEMENTS", budget)
+            report = knn_outliers(view, k=k, contamination=contamination)
+    expected = oracle_kth_nn_scores(matrix, k)
+    assert np.array_equal(report.scores, np.array(expected))
+    assert list(report.indices) == oracle_flags(expected, contamination)
+    # the warnings are those of the whole-matrix expression, and no others
+    with warnings.catch_warnings(record=True) as whole:
+        warnings.simplefilter("always")
+        ((matrix[:, None, :] - matrix[None, :, :]) ** 2).sum(axis=-1)
+    assert {str(w.message) for w in caught} == {str(w.message) for w in whole}
 
 
 def loop_matches(source, followup):

@@ -115,6 +115,18 @@ class TestCsv:
             load_csv(str(p), header=header)
         assert str(exc.value) == f"{p}: line {line}: expected 2 fields, got 1"
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [("a,,c\n1,2,3\n", 1, 2), ("\nx, \n1,2\n", 2, 2), (",b\n1,2\n", 1, 1)],
+        ids=["middle", "after-blank-line", "first"],
+    )
+    def test_empty_header_name_cites_line_and_column(self, tmp_path, text, line, column):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as exc:
+            load_csv(str(p))
+        assert str(exc.value) == f"{p}: line {line}: column {column} has an empty name"
+
     def test_unknown_class_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")

@@ -282,7 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"alpha must be in (0, 1], got {args.alpha}")
     treatment = _load_report(args.treatment)
     baseline = _load_report(args.baseline)
-    if len(treatment.curve.points) != len(baseline.curve.points):
+    if len(treatment.curve) != len(baseline.curve):
         raise InputError("reports cover different MR-set sizes")
     if treatment.mutant_ids != baseline.mutant_ids:
         raise InputError("reports cover different mutant sets")
@@ -301,8 +301,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "size": m + 1,
-                "treatment": treatment.curve.points[m],
-                "baseline": baseline.curve.points[m],
+                "treatment": treatment.curve[m],
+                "baseline": baseline.curve[m],
                 "improvement_pct": improvements[m],
                 "p_value": p,
                 "significant": bool(p < args.alpha),

@@ -1,11 +1,15 @@
 """Kill-matrix evaluation: detection curves, APFD, baselines, significance.
 
 A kill matrix records which MRs expose which mutants, plus per-MR execution
-times.  Orderings are judged by their fault-detection curve (percentage of
-killable mutants exposed by the first m MRs), APFD, effective MR-set size
-and average time to first detection.  Baselines: averaged random orderings
-and a coverage-greedy ordering.  A paired sign-flip permutation test
-compares treatments.
+times.  Orderings are judged by their fault-detection curve (a tuple: the
+percentage of killable mutants exposed by the first m MRs), APFD, effective
+MR-set size and average time to first detection.  Baselines: averaged random
+orderings and a coverage-greedy ordering.  A paired sign-flip permutation
+test compares treatments.
+
+One function builds every ``EvalReport``: a single ordering is a block of
+one run, a random baseline many blocks.  Reports export through ``Record``
+and check themselves, so computed and loaded reports pass the same checks.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ApplicabilityError, InputError, InvariantError
+from .records import Record
 
 DEFAULT_THRESHOLDS = (5.0, 2.5)
 
@@ -59,8 +64,7 @@ class KillMatrix:
 
     @property
     def unkillable_ids(self) -> tuple[str, ...]:
-        mask = self.killable_mask
-        return tuple(m for m, alive in zip(self.mutant_ids, ~mask) if alive)
+        return tuple(m for m, killable in zip(self.mutant_ids, self.killable_mask) if not killable)
 
 
 @dataclass(frozen=True)
@@ -178,26 +182,15 @@ def save_kill_matrix(
 
 
 # ---------------------------------------------------------------------------
-# single-ordering evaluation
+# ordering evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaultDetectionCurve:
-    points: tuple[float, ...]   # percentage of killable mutants after m MRs
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise InputError("a detection curve needs at least one point")
-        for a, b in zip(self.points, self.points[1:]):
-            if b < a:
-                raise InvariantError("detection curve must be non-decreasing")
-
-
-def _check_order(order: Sequence[str], km: KillMatrix) -> list[int]:
+def _check_order(order: Sequence[str], km: KillMatrix) -> np.ndarray:
+    """*order* as a one-run block: a 1 x MRs array of MR indices."""
     if len(order) != len(km.mr_ids) or set(order) != set(km.mr_ids):
         raise InputError("ordering is not a permutation of the kill matrix's MR ids")
     index = {m: i for i, m in enumerate(km.mr_ids)}
-    return [index[m] for m in order]
+    return np.array([[index[m] for m in order]])
 
 
 # An ordering is evaluated as a block of runs: one row of MR indices per run.
@@ -251,21 +244,9 @@ def _run_times(perms: np.ndarray, first: np.ndarray, km: KillMatrix) -> list[flo
     return [float(np.mean(t)) for t in np.take_along_axis(cumulative, first, axis=1)]
 
 
-def _detection_counts(first_counts: np.ndarray, km: KillMatrix) -> np.ndarray:
-    """MRs x mutants: runs in which the first m MRs kill each mutant, from the
-    killable mutants x positions counts of first kills."""
-    counts = np.zeros(km.kills.shape, dtype=np.int64)
-    counts[:, km.killable_mask] = np.cumsum(first_counts, axis=1).T
-    return counts
-
-
-def _curve(points: np.ndarray) -> FaultDetectionCurve:
-    return FaultDetectionCurve(tuple(float(p) for p in points))
-
-
 def _one_pass(order: Sequence[str], km: KillMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Check *order* once; return it as a one-run block and its first kills."""
-    perm = np.array([_check_order(order, km)])
+    perm = _check_order(order, km)
     return perm, _first_kills(perm, _kill_groups(km))
 
 
@@ -280,12 +261,12 @@ def first_kill_positions(order: Sequence[str], km: KillMatrix) -> dict[str, int 
     return _positions(_one_pass(order, km)[1], km)
 
 
-def detection_curve(order: Sequence[str], km: KillMatrix) -> FaultDetectionCurve:
+def detection_curve(order: Sequence[str], km: KillMatrix) -> tuple[float, ...]:
     """Percentage of killable mutants exposed by each ordering prefix.
 
     With no killable mutants the curve is flat 100.
     """
-    return _curve(_run_curves(_one_pass(order, km)[1], len(km.mr_ids))[0])
+    return tuple(_run_curves(_one_pass(order, km)[1], len(km.mr_ids))[0].tolist())
 
 
 def apfd(order: Sequence[str], km: KillMatrix) -> float:
@@ -299,7 +280,7 @@ def avg_time_to_fault(order: Sequence[str], km: KillMatrix) -> float:
     return _run_times(*_one_pass(order, km), km)[0]
 
 
-def effective_set_size(curve: FaultDetectionCurve, threshold: float) -> int:
+def effective_set_size(curve: Sequence[float], threshold: float) -> int:
     """Smallest m whose next step adds less than *threshold* percentage points.
 
     Falls back to the full set size when every step is at least the threshold.
@@ -308,20 +289,25 @@ def effective_set_size(curve: FaultDetectionCurve, threshold: float) -> int:
         raise InputError(f"threshold must be finite, got {threshold}")
     if threshold <= 0:
         raise InputError(f"threshold must be positive, got {threshold}")
-    points = curve.points
-    for m in range(1, len(points)):
-        if points[m] - points[m - 1] < threshold:
+    for m in range(1, len(curve)):
+        if curve[m] - curve[m - 1] < threshold:
             return m
-    return len(points)
+    return len(curve)
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EffectiveSize(Record):
+    threshold: float
+    size: int
+
+
+@dataclass(frozen=True)
+class EvalReport(Record):
     kind: str                               # "single" or "averaged"
     ordering: tuple[str, ...] | None
-    curve: FaultDetectionCurve
+    curve: tuple[float, ...]                # percentage of killable mutants after m MRs
     apfd: float
-    effective_sizes: tuple[tuple[float, int], ...]
+    effective_sizes: tuple[EffectiveSize, ...]
     avg_time_to_fault: float
     mutant_ids: tuple[str, ...]
     unkillable: tuple[str, ...]
@@ -330,34 +316,33 @@ class EvalReport:
     runs: int | None = None
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ordering": list(self.ordering) if self.ordering is not None else None,
-            "curve": list(self.curve.points),
-            "apfd": self.apfd,
-            "effective_sizes": [
-                {"threshold": t, "size": s} for t, s in self.effective_sizes
-            ],
-            "avg_time_to_fault": self.avg_time_to_fault,
-            "mutant_ids": list(self.mutant_ids),
-            "unkillable": list(self.unkillable),
-            "detection": [[float(v) for v in row] for row in self.detection],
-            "first_positions": self.first_positions,
-            "runs": self.runs,
-            "seed": self.seed,
-        }
+    def __post_init__(self) -> None:
+        if not self.curve:
+            raise InvariantError("a detection curve needs at least one point")
+        expected = (len(self.curve), len(self.mutant_ids))
+        if self.detection.shape != expected:
+            raise InvariantError(
+                f"detection has shape {self.detection.shape}, "
+                f"expected {expected} (curve points x mutants)"
+            )
+        # every comparison with NaN is false, so the order check alone passes it
+        scalars = [*self.curve, self.apfd, self.avg_time_to_fault]
+        if not (np.isfinite(scalars).all() and np.isfinite(self.detection).all()):
+            raise InvariantError("curve, detection, apfd and time to fault must be finite")
+        if any(b < a for a, b in zip(self.curve, self.curve[1:])):
+            raise InvariantError("detection curve must be non-decreasing")
 
 
 def report_from_dict(data: dict) -> EvalReport:
     try:
-        report = EvalReport(
+        return EvalReport(
             kind=data["kind"],
             ordering=tuple(data["ordering"]) if data["ordering"] is not None else None,
-            curve=FaultDetectionCurve(tuple(float(p) for p in data["curve"])),
+            curve=tuple(float(p) for p in data["curve"]),
             apfd=float(data["apfd"]),
             effective_sizes=tuple(
-                (float(e["threshold"]), int(e["size"])) for e in data["effective_sizes"]
+                EffectiveSize(float(e["threshold"]), int(e["size"]))
+                for e in data["effective_sizes"]
             ),
             avg_time_to_fault=float(data["avg_time_to_fault"]),
             mutant_ids=tuple(data["mutant_ids"]),
@@ -369,13 +354,60 @@ def report_from_dict(data: dict) -> EvalReport:
         )
     except (KeyError, TypeError, ValueError, InvariantError) as exc:
         raise InputError(f"malformed evaluation report: {exc}") from exc
-    expected = (len(report.curve.points), len(report.mutant_ids))
-    if report.detection.shape != expected:
-        raise InputError(
-            f"malformed evaluation report: detection has shape {report.detection.shape}, "
-            f"expected {expected} (curve points x mutants)"
-        )
-    return report
+
+
+# blocks of runs are evaluated together; a block's per-run arrays (runs x MRs,
+# runs x killing MR-mutant pairs) hold at most this many elements each, or one
+# run when a single run is wider
+RUN_BLOCK_ELEMENTS = 2**15
+
+
+def _report(
+    km: KillMatrix, orders, count: int, thresholds: Sequence[float], kind: str, **identity
+) -> EvalReport:
+    """Evaluate *count* orderings (rows of MR indices) in blocks of runs.
+
+    Detection is built from integer counts, the curve is summed run by run
+    in run order, and APFD and time to fault are averaged over per-run
+    values, so every bit of the report is that of evaluating the runs one at
+    a time, whatever the block size.  *identity* holds the report's
+    ordering, or its runs and seed.
+    """
+    n = len(km.mr_ids)
+    groups = _kill_groups(km)
+    block = max(1, RUN_BLOCK_ELEMENTS // max(groups[0].size, n))
+    curve_sum = np.zeros(n)
+    # killable mutants x positions: runs whose first kill comes at that position
+    first_counts = np.zeros((groups[1].size, n), dtype=np.int64)
+    apfd_values: list[float] = []
+    time_values: list[float] = []
+    for _ in range(0, count, block):
+        perms = np.array(list(itertools.islice(orders, block)))
+        first = _first_kills(perms, groups)
+        first_counts += _row_counts(first.T, n)
+        for curve in _run_curves(first, n):
+            curve_sum += curve
+        apfd_values += _run_apfds(first, n)
+        time_values += _run_times(perms, first, km)
+
+    detection = np.zeros(km.kills.shape)
+    detection[:, km.killable_mask] = np.cumsum(first_counts, axis=1).T / count
+    mean_curve = tuple((curve_sum / count).tolist())
+    return EvalReport(
+        kind=kind,
+        curve=mean_curve,
+        apfd=float(np.mean(apfd_values)),
+        effective_sizes=tuple(
+            EffectiveSize(float(t), effective_set_size(mean_curve, t)) for t in thresholds
+        ),
+        avg_time_to_fault=float(np.mean(time_values)),
+        mutant_ids=km.mutant_ids,
+        unkillable=km.unkillable_ids,
+        detection=detection,
+        # a single ordering is the one block, so *first* is its run
+        first_positions=_positions(first, km) if kind == "single" else None,
+        **identity,
+    )
 
 
 def evaluate_ordering(
@@ -383,34 +415,13 @@ def evaluate_ordering(
     km: KillMatrix,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> EvalReport:
-    perm, first = _one_pass(order, km)
-    n = len(km.mr_ids)
-    curve = _curve(_run_curves(first, n)[0])
-    return EvalReport(
-        kind="single",
-        ordering=tuple(order),
-        curve=curve,
-        apfd=_run_apfds(first, n)[0],
-        effective_sizes=tuple(
-            (float(t), effective_set_size(curve, t)) for t in thresholds
-        ),
-        avg_time_to_fault=_run_times(perm, first, km)[0],
-        mutant_ids=km.mutant_ids,
-        unkillable=km.unkillable_ids,
-        detection=_detection_counts(_row_counts(first.T, n), km).astype(float),
-        first_positions=_positions(first, km),
-    )
+    block = _check_order(order, km)
+    return _report(km, iter(block), 1, thresholds, "single", ordering=tuple(order))
 
 
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
-
-# random-baseline runs are evaluated together; a block's per-run arrays (runs x
-# MRs, runs x killing MR-mutant pairs) hold at most this many elements each,
-# or one run when a single run is wider
-RUN_BLOCK_ELEMENTS = 2**15
-
 
 def random_baseline(
     km: KillMatrix,
@@ -424,16 +435,10 @@ def random_baseline(
     Run r draws its permutation from a generator seeded with seed + r, so
     any prefix of the runs is reproducible in isolation.  With
     ``exhaustive=True`` every permutation is enumerated once instead (the
-    exact expectation; feasible only for small catalogs).
-
-    Runs are evaluated in blocks with the single-ordering kernel.  Detection
-    is built from integer counts, the curve is summed run by run in run
-    order, and APFD and time to fault are averaged over per-run values, so
-    every bit of the report is that of evaluating the runs one at a time,
-    whatever the block size.
+    exact expectation; feasible only for small catalogs).  The runs are
+    evaluated in blocks, with the kernel a single ordering uses.
     """
-    n_killable = int(km.killable_mask.sum())
-    if n_killable == 0:
+    if not km.killable_mask.any():
         raise ApplicabilityError("baseline is undefined: no killable mutants")
     n = len(km.mr_ids)
     if exhaustive:
@@ -446,39 +451,8 @@ def random_baseline(
             raise InputError(f"runs must be >= 1, got {runs}")
         orders = (np.random.default_rng(seed + r).permutation(n) for r in range(runs))
         count = runs
-
-    groups = _kill_groups(km)
-    block = max(1, RUN_BLOCK_ELEMENTS // max(groups[0].size, n))
-    curve_sum = np.zeros(n)
-    # killable mutants x positions: runs whose first kill comes at that position
-    first_counts = np.zeros((n_killable, n), dtype=np.int64)
-    apfd_values: list[float] = []
-    time_values: list[float] = []
-    for _ in range(0, count, block):
-        perms = np.array(list(itertools.islice(orders, block)))
-        first = _first_kills(perms, groups)
-        first_counts += _row_counts(first.T, n)
-        for curve in _run_curves(first, n):
-            curve_sum += curve
-        apfd_values += _run_apfds(first, n)
-        time_values += _run_times(perms, first, km)
-
-    mean_curve = _curve(curve_sum / count)
-    return EvalReport(
-        kind="averaged",
-        ordering=None,
-        curve=mean_curve,
-        apfd=float(np.mean(apfd_values)),
-        effective_sizes=tuple(
-            (float(t), effective_set_size(mean_curve, t)) for t in thresholds
-        ),
-        avg_time_to_fault=float(np.mean(time_values)),
-        mutant_ids=km.mutant_ids,
-        unkillable=km.unkillable_ids,
-        detection=_detection_counts(first_counts, km) / count,
-        runs=count,
-        seed=None if exhaustive else seed,
-    )
+    return _report(km, orders, count, thresholds, "averaged", ordering=None, runs=count,
+                   seed=None if exhaustive else seed)
 
 
 def coverage_greedy(cov: CoverageMatrix) -> tuple[str, ...]:
@@ -586,17 +560,17 @@ def permutation_test(
 
 
 def relative_improvement(
-    treatment: FaultDetectionCurve, baseline: FaultDetectionCurve
+    treatment: Sequence[float], baseline: Sequence[float]
 ) -> list[float | None]:
     """Per-prefix percentage improvement of treatment over baseline.
 
     None marks prefixes where the baseline sits at zero and the ratio is
     undefined.
     """
-    if len(treatment.points) != len(baseline.points):
+    if len(treatment) != len(baseline):
         raise InputError("curves must have the same number of points")
     out: list[float | None] = []
-    for t, b in zip(treatment.points, baseline.points):
+    for t, b in zip(treatment, baseline):
         out.append(None if b == 0 else 100.0 * (t - b) / b)
     return out
 

@@ -1,9 +1,11 @@
 """Outlier-count diversity via kth-nearest-neighbour distance scoring.
 
 Each instance is scored by its Euclidean distance to its kth nearest
-neighbour (itself excluded); the round-half-up(contamination * rows)
-highest-scoring instances are flagged, ties resolved toward lower row
-indices.
+neighbour (itself excluded); of n rows, the f(n) = min(round_half_up(c * n),
+n - 1) highest-scoring are flagged at contamination c, ties resolved toward
+lower row indices.  Identical flagged vectors pair up and leave both sides,
+so the raw score is |f(n_source) - f(n_followup)|, whatever the rows hold;
+the kNN scores and the matching reach only the diagnostics.
 
 Scores are found by filter and refine, in blocks of rows.  A BLAS product
 gives every squared distance of a block approximately, as

@@ -344,7 +344,7 @@ def test_c10_random_baseline_expectation():
         assert report.runs == 24
         n = 4
         killers = [int(c) for c in km.kills.sum(axis=0)]
-        for prefix, got in enumerate(report.curve.points, start=1):
+        for prefix, got in enumerate(report.curve, start=1):
             expected = (
                 100
                 * sum(
@@ -361,8 +361,8 @@ def test_c10_random_baseline_expectation():
         seeded = random_baseline(two, runs=100, seed=0)
         again = random_baseline(two, runs=100, seed=0)
         assert seeded.to_dict() == again.to_dict()
-        assert abs(seeded.curve.points[0] - 75.0) <= 10.0
-        m["detail"] = f"24 perms exact; seeded point {seeded.curve.points[0]:.1f} vs 75"
+        assert abs(seeded.curve[0] - 75.0) <= 10.0
+        m["detail"] = f"24 perms exact; seeded point {seeded.curve[0]:.1f} vs 75"
 
 
 def test_c11_coverage_greedy():

@@ -367,3 +367,42 @@ class TestAnomalyDiversity:
             d = make_dataset({"x": base + [10.0]})  # ten sigma from the core
             report = knn_outliers(numeric_view(d), k=5, contamination=0.05)
             assert report.indices == (20,)
+
+
+def flag_count(n, contamination):
+    """f(n): the rows flagged among n, min(round_half_up(c n), n - 1)."""
+    return min(int(math.floor(contamination * n + 0.5)), n - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_source=st.integers(4, 40),
+    n_followup=st.integers(4, 40),
+    shared=st.floats(0.0, 1.0),
+    k=st.integers(1, 3),
+    # eighths put c n on a half for some n, where rounding half up matters
+    contamination=st.sampled_from([0.125, 0.375, 0.625, 0.875]) | st.floats(0.01, 0.99),
+    standardize=st.booleans(),
+)
+def test_raw_score_is_the_flag_count_difference(
+    seed, n_source, n_followup, shared, k, contamination, standardize
+):
+    """Identical pairs leave both sides, so they cancel: the raw score is
+    |f(n_source) - f(n_followup)|, whatever the rows hold."""
+    rng = np.random.default_rng(seed)
+    # few distinct values, and source rows copied into the follow-up, so that
+    # flagged rows often pair up across the sides
+    source = rng.integers(-2, 3, (n_source, 2)).astype(float)
+    followup = rng.integers(-2, 3, (n_followup, 2)).astype(float)
+    copied = int(shared * min(n_source, n_followup))
+    followup[:copied] = source[rng.permutation(n_source)[:copied]]
+    raw, diag = anomaly_diversity(
+        make_dataset({"a": list(source[:, 0]), "b": list(source[:, 1])}),
+        make_dataset({"a": list(followup[:, 0]), "b": list(followup[:, 1])}),
+        k=k, contamination=contamination, standardize=standardize,
+    )
+    matched = len(diag["identical_pairs"])
+    assert diag["surviving_source"] == flag_count(n_source, contamination) - matched
+    assert diag["surviving_followup"] == flag_count(n_followup, contamination) - matched
+    assert raw == abs(flag_count(n_source, contamination) - flag_count(n_followup, contamination))

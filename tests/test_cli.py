@@ -468,6 +468,20 @@ class TestCompare:
         assert rc == 2
         assert "detection has shape" in capsys.readouterr().err
 
+    def test_non_finite_report_exits_2(self, tmp_path, capsys):
+        treatment, baseline = self.synth_reports(tmp_path, 5)
+        payload = read_json(treatment)
+        payload["report"]["curve"][0] = float("nan")
+        payload["report"]["detection"][0][0] = float("nan")
+        with open(treatment, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out = tmp_path / "cmp.json"
+        rc = main(["compare", "--treatment", treatment, "--baseline", baseline,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: malformed evaluation report: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_mrs", [3, 9])
     def test_one_generator_per_compare(self, tmp_path, monkeypatch, n_mrs):
         treatment, baseline = self.synth_reports(tmp_path, n_mrs)

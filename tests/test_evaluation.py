@@ -1,5 +1,6 @@
 """Tests for the kill-matrix evaluation harness."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ from mrprior import evaluation
 from mrprior.errors import ApplicabilityError, InputError, InvariantError
 from mrprior.evaluation import (
     CoverageMatrix,
-    FaultDetectionCurve,
+    EffectiveSize,
     KillMatrix,
     apfd,
     avg_time_to_fault,
@@ -314,11 +315,11 @@ class TestMatrixValidation:
 class TestDetectionCurve:
     def test_identity_matrix_example(self):
         curve = detection_curve(["MR1", "MR2"], identity_2x2())
-        assert curve.points == (50.0, 100.0)
+        assert curve == (50.0, 100.0)
 
     def test_first_mr_kills_everything(self):
         km = km_from([[1, 1], [0, 0]], [1.0, 1.0])
-        assert detection_curve(["MR1", "MR2"], km).points == (100.0, 100.0)
+        assert detection_curve(["MR1", "MR2"], km) == (100.0, 100.0)
 
     def test_three_mr_worked_example(self):
         km = km_from(
@@ -326,17 +327,17 @@ class TestDetectionCurve:
             mr_ids=("MR1", "MR2", "MR3"),
         )
         curve = detection_curve(["MR2", "MR1", "MR3"], km)
-        assert curve.points == (50.0, 50.0, 100.0)
+        assert curve == (50.0, 50.0, 100.0)
 
     def test_unkillable_mutants_leave_denominator(self):
         km = km_from([[1, 0, 0], [0, 1, 0]], [1.0, 1.0])
         curve = detection_curve(["MR1", "MR2"], km)
-        assert curve.points == (50.0, 100.0)
+        assert curve == (50.0, 100.0)
         assert km.unkillable_ids == ("m3",)
 
     def test_no_killable_mutants_curve_is_flat(self):
         km = km_from([[0], [0]], [1.0, 1.0])
-        assert detection_curve(["MR1", "MR2"], km).points == (100.0, 100.0)
+        assert detection_curve(["MR1", "MR2"], km) == (100.0, 100.0)
 
     def test_final_point_is_100_without_unkillables(self):
         rng = np.random.default_rng(2)
@@ -348,7 +349,7 @@ class TestDetectionCurve:
             if km.unkillable_ids:
                 continue
             order = [km.mr_ids[i] for i in rng.permutation(len(km.mr_ids))]
-            points = detection_curve(order, km).points
+            points = detection_curve(order, km)
             assert points[-1] == 100.0
             assert all(b >= a for a, b in zip(points, points[1:]))
 
@@ -362,10 +363,11 @@ class TestDetectionCurve:
             detection_curve(["MR1", "MRx"], km)
 
     def test_curve_type_guards(self):
-        with pytest.raises(InvariantError):
-            FaultDetectionCurve((60.0, 50.0))
-        with pytest.raises(InputError):
-            FaultDetectionCurve(())
+        report = evaluate_ordering(["MR1", "MR2"], identity_2x2())
+        with pytest.raises(InvariantError, match="non-decreasing"):
+            dataclasses.replace(report, curve=(60.0, 50.0))
+        with pytest.raises(InvariantError, match="at least one point"):
+            dataclasses.replace(report, curve=(), detection=np.zeros((0, 2)))
 
 
 class TestApfd:
@@ -461,34 +463,33 @@ class TestAvgTimeToFault:
 
 class TestEffectiveSetSize:
     def test_worked_examples(self):
-        assert effective_set_size(FaultDetectionCurve((50.0, 100.0)), 5.0) == 2
-        assert effective_set_size(FaultDetectionCurve((90.0, 92.0, 93.0)), 5.0) == 1
+        assert effective_set_size((50.0, 100.0), 5.0) == 2
+        assert effective_set_size((90.0, 92.0, 93.0), 5.0) == 1
         assert effective_set_size(
-            FaultDetectionCurve((40.0, 80.0, 81.0, 81.5)), 2.5
+            (40.0, 80.0, 81.0, 81.5), 2.5
         ) == 2
 
     def test_fallback_to_full_size(self):
-        curve = FaultDetectionCurve((10.0, 40.0, 70.0, 100.0))
+        curve = (10.0, 40.0, 70.0, 100.0)
         assert effective_set_size(curve, 5.0) == 4
 
     def test_single_point_curve(self):
-        assert effective_set_size(FaultDetectionCurve((100.0,)), 5.0) == 1
+        assert effective_set_size((100.0,), 5.0) == 1
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(InputError):
-            effective_set_size(FaultDetectionCurve((50.0, 100.0)), 0.0)
+            effective_set_size((50.0, 100.0), 0.0)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(InputError, match="must be finite"):
-            effective_set_size(FaultDetectionCurve((50.0, 100.0)), threshold)
+            effective_set_size((50.0, 100.0), threshold)
 
     def test_size_always_in_range(self):
         rng = np.random.default_rng(23)
         for trial in range(50):
             n = int(rng.integers(1, 12))
-            points = tuple(sorted(rng.uniform(0, 100, size=n)))
-            curve = FaultDetectionCurve(points)
+            curve = tuple(sorted(rng.uniform(0, 100, size=n)))
             for threshold in (5.0, 2.5):
                 assert 1 <= effective_set_size(curve, threshold) <= n
 
@@ -499,8 +500,8 @@ class TestEvalReport:
         report = evaluate_ordering(["MR2", "MR1"], km)
         assert report.kind == "single"
         assert report.ordering == ("MR2", "MR1")
-        assert report.curve.points == (50.0, 100.0)
-        assert report.effective_sizes == ((5.0, 2), (2.5, 2))
+        assert report.curve == (50.0, 100.0)
+        assert report.effective_sizes == (EffectiveSize(5.0, 2), EffectiveSize(2.5, 2))
         assert report.first_positions == {"m1": 2, "m2": 1}
         assert report.unkillable == ()
 
@@ -509,7 +510,7 @@ class TestEvalReport:
         report = evaluate_ordering(list(km.mr_ids), km)
         data = json.loads(json.dumps(report.to_dict()))
         back = report_from_dict(data)
-        assert back.curve.points == report.curve.points
+        assert back.curve == report.curve
         assert back.apfd == report.apfd
         assert back.effective_sizes == report.effective_sizes
         assert np.array_equal(back.detection, report.detection)
@@ -527,6 +528,20 @@ class TestEvalReport:
             report_from_dict(missing)
 
 
+    @pytest.mark.parametrize("field", ["curve", "detection", "apfd", "avg_time_to_fault"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        km = synth_kill_matrix(4, 6, kill_prob=0.5, seed=1)
+        data = json.loads(json.dumps(evaluate_ordering(list(km.mr_ids), km).to_dict()))
+        if field == "curve":
+            data["curve"][0] = value
+        elif field == "detection":
+            data["detection"][0][0] = value
+        else:
+            data[field] = value
+        with pytest.raises(InputError, match="malformed evaluation report: .* must be finite"):
+            report_from_dict(data)
+
     def test_detection_shape_must_match_curve_and_mutants(self):
         km = synth_kill_matrix(4, 6, kill_prob=0.5, seed=1)
         report = evaluate_ordering(list(km.mr_ids), km).to_dict()
@@ -536,6 +551,49 @@ class TestEvalReport:
         short_cols = dict(report, detection=[row[:-1] for row in report["detection"]])
         with pytest.raises(InputError, match="detection has shape"):
             report_from_dict(short_cols)
+
+
+def reference_layout(report):
+    """The report layout that EvalReport.to_dict once wrote out by hand."""
+    return {
+        "kind": report.kind,
+        "ordering": list(report.ordering) if report.ordering is not None else None,
+        "curve": list(report.curve),
+        "apfd": report.apfd,
+        "effective_sizes": [
+            {"threshold": e.threshold, "size": e.size} for e in report.effective_sizes
+        ],
+        "avg_time_to_fault": report.avg_time_to_fault,
+        "mutant_ids": list(report.mutant_ids),
+        "unkillable": list(report.unkillable),
+        "detection": [[float(v) for v in row] for row in report.detection],
+        "first_positions": report.first_positions,
+        "runs": report.runs,
+        "seed": report.seed,
+    }
+
+
+class TestReportExport:
+    def matrices(self):
+        with_unkillable = km_from([[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 0, 0]], [0.5, 2.0, 1.0])
+        all_killable = synth_kill_matrix(5, 12, kill_prob=0.6, times=(0.1, 3.0), seed=4)
+        assert with_unkillable.unkillable_ids and not all_killable.unkillable_ids
+        return [with_unkillable, all_killable]
+
+    @pytest.mark.parametrize("mode", ["single", "seeded", "exhaustive"])
+    def test_to_dict_keeps_the_reference_layout(self, mode):
+        for km in self.matrices():
+            if mode == "single":
+                report = evaluate_ordering(list(reversed(km.mr_ids)), km, (5.0, 2.5, 1.0))
+            else:
+                report = random_baseline(km, runs=30, seed=7, exhaustive=mode == "exhaustive")
+            exported = report.to_dict()
+            assert exported == reference_layout(report)
+            # the same Python types, so the JSON text is the same too
+            assert json.dumps(exported, sort_keys=True) == json.dumps(
+                reference_layout(report), sort_keys=True
+            )
+            assert report_from_dict(json.loads(json.dumps(exported))).to_dict() == exported
 
 
 # --- baselines ---------------------------------------------------------------
@@ -556,7 +614,7 @@ class TestRandomBaseline:
         report = random_baseline(km, exhaustive=True)
         assert report.runs == 24
         expected = expected_random_curve(km)
-        for got, want in zip(report.curve.points, expected):
+        for got, want in zip(report.curve, expected):
             assert got == float(want)
 
     def test_exhaustive_matches_permutation_means(self):
@@ -583,22 +641,22 @@ class TestRandomBaseline:
         baseline = random_baseline(km, runs=1, seed=31)
         drawn = [km.mr_ids[i] for i in np.random.default_rng(31).permutation(7)]
         single = evaluate_ordering(drawn, km)
-        assert baseline.curve.points == single.curve.points
+        assert baseline.curve == single.curve
         assert baseline.apfd == single.apfd
         assert baseline.avg_time_to_fault == single.avg_time_to_fault
 
     def test_order_invariant_matrix(self):
         km = km_from(np.ones((4, 3)), [1.0] * 4)
         report = random_baseline(km, runs=10, seed=0)
-        assert report.curve.points == (100.0, 100.0, 100.0, 100.0)
+        assert report.curve == (100.0, 100.0, 100.0, 100.0)
         assert report.apfd == 1.0 - 1.0 / 4 + 1.0 / 8
 
     def test_two_mr_expectation_within_ten_points(self):
         # expectation at prefix 1 is 75: (100 + 50) / 2
         km = km_from([[1, 1], [1, 0]], [1.0, 1.0])
         report = random_baseline(km, runs=100, seed=0)
-        assert abs(report.curve.points[0] - 75.0) <= 10.0
-        assert report.curve.points[1] == 100.0
+        assert abs(report.curve[0] - 75.0) <= 10.0
+        assert report.curve[1] == 100.0
 
     def test_kind_and_metadata(self):
         km = identity_2x2()
@@ -652,7 +710,7 @@ class TestRandomBaselineBlocks:
             for runs in sorted({1, max(1, block - 1), block, block + 1, 1000}):
                 report = random_baseline(km, runs=runs, seed=17)
                 curve, detection, apfd_mean, time_mean = oracle_random_baseline(km, runs, 17)
-                assert report.curve.points == curve, (runs, block)
+                assert report.curve == curve, (runs, block)
                 assert np.array_equal(report.detection, detection), (runs, block)
                 assert report.apfd == apfd_mean, (runs, block)
                 assert report.avg_time_to_fault == time_mean, (runs, block)
@@ -681,7 +739,7 @@ class TestRandomBaselineBlocks:
                 order = [km.mr_ids[i] for i in perm]
                 report = evaluate_ordering(order, km)
                 curve, detection, apfd_value, time = oracle_one_pass(perm, km)
-                assert report.curve.points == curve
+                assert report.curve == curve
                 assert report.detection.dtype == detection.dtype
                 assert np.array_equal(report.detection, detection)
                 assert report.apfd == apfd_value == apfd(order, km)
@@ -695,7 +753,7 @@ class TestRandomBaselineBlocks:
         report = random_baseline(km, exhaustive=True)
         curve, detection, apfd_mean, time_mean = oracle_mean(list(itertools.permutations(range(7))), km)
         assert report.runs == 5040
-        assert report.curve.points == curve
+        assert report.curve == curve
         assert np.array_equal(report.detection, detection)
         assert report.apfd == apfd_mean
         assert report.avg_time_to_fault == time_mean
@@ -921,23 +979,23 @@ class TestSharedNull:
 
 class TestRelativeImprovement:
     def test_identical_curves_are_flat_zero(self):
-        curve = FaultDetectionCurve((50.0, 100.0))
+        curve = (50.0, 100.0)
         assert relative_improvement(curve, curve) == [0.0, 0.0]
 
     def test_worked_example(self):
-        treatment = FaultDetectionCurve((65.0, 100.0))
-        baseline = FaultDetectionCurve((50.0, 100.0))
+        treatment = (65.0, 100.0)
+        baseline = (50.0, 100.0)
         assert relative_improvement(treatment, baseline) == [30.0, 0.0]
 
     def test_zero_baseline_marked_undefined(self):
-        treatment = FaultDetectionCurve((10.0, 50.0))
-        baseline = FaultDetectionCurve((0.0, 50.0))
+        treatment = (10.0, 50.0)
+        baseline = (0.0, 50.0)
         assert relative_improvement(treatment, baseline) == [None, 0.0]
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             relative_improvement(
-                FaultDetectionCurve((50.0,)), FaultDetectionCurve((50.0, 100.0))
+                (50.0,), (50.0, 100.0)
             )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from mrprior.catalog import MrSpec, build_pairs
 from mrprior.dataset import numeric_view
-from mrprior.evaluation import EvalReport
+from mrprior.evaluation import EffectiveSize, EvalReport, evaluate_ordering, synth_kill_matrix
 from mrprior.metrics import (
     AttributeStats,
     ClusterSummary,
@@ -76,7 +76,7 @@ def _dataset():
 
 
 def _records():
-    """One instance of each of the ten record classes, from the real code paths."""
+    """One instance of each of the twelve record classes, from the real code paths."""
     dataset = _dataset()
     ruleset = cn2_induce(dataset)
     view = numeric_view(dataset)
@@ -85,6 +85,8 @@ def _records():
                MrSpec("MR2", "scale", "affine_numeric", {"scale": 2.0})]
     scores = normalize(score_catalog(build_pairs(catalog, dataset), "distribution"))
     ranking = rank(scores)
+    km = synth_kill_matrix(4, 6, kill_prob=0.5, seed=1)
+    report = evaluate_ordering(list(km.mr_ids), km)
     return {
         Condition: ruleset.rules[0].conditions[0],
         Rule: ruleset.rules[0],
@@ -96,6 +98,8 @@ def _records():
         DiversityScore: scores[1],
         RankEntry: ranking.entries[0],
         Ranking: ranking,
+        EffectiveSize: report.effective_sizes[0],
+        EvalReport: report,
     }
 
 
@@ -112,6 +116,9 @@ EXPORTED_KEYS = {
     DiversityScore: {"mr_id", "metric", "raw", "normalized", "diagnostics"},
     RankEntry: {"mr_id", "raw", "normalized", "rank"},
     Ranking: {"metric", "entries", "tie_note"},
+    EffectiveSize: {"threshold", "size"},
+    EvalReport: {"kind", "ordering", "curve", "apfd", "effective_sizes", "avg_time_to_fault",
+                 "mutant_ids", "unkillable", "detection", "first_positions", "runs", "seed"},
 }
 
 
@@ -130,7 +137,7 @@ def test_internal_fields_are_not_exported():
     assert score.catalog_index == 1 and "catalog_index" not in score.to_dict()
 
 
-def test_only_eval_report_keeps_its_own_to_dict():
+def test_every_record_uses_record_to_dict():
+    assert EvalReport in EXPORTED_KEYS
     for cls in EXPORTED_KEYS:
         assert cls.to_dict is Record.to_dict, cls.__name__
-    assert not issubclass(EvalReport, Record)

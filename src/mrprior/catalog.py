@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,16 +72,11 @@ class MrSpec:
 
 @dataclass(frozen=True)
 class MrPair:
-    """Source/follow-up dataset pair for one MR.
-
-    ``recomputable`` is False when the follow-up was supplied as a file, in
-    which case nothing ties it to the transform named in ``mr``.
-    """
+    """Source/follow-up dataset pair for one MR."""
 
     mr: MrSpec
     source: Dataset
     followup: Dataset
-    recomputable: bool = True
 
 
 def round_half_up(x: float) -> int:
@@ -127,7 +122,7 @@ def load_catalog(path: str) -> list[MrSpec]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
     specs: list[MrSpec] = []
@@ -188,7 +183,7 @@ def apply_mr(mr: MrSpec, source: Dataset) -> Dataset:
     if mr.transform == EXTERNAL:
         raise ApplicabilityError(f"MR {mr.id}: external follow-ups cannot be recomputed")
     handler = TRANSFORMS[mr.transform][0]
-    return handler(mr, source).replace(name=f"{source.name}#{mr.id}")
+    return replace(handler(mr, source), name=f"{source.name}#{mr.id}")
 
 
 def _rng(mr: MrSpec) -> np.random.Generator:
@@ -260,7 +255,7 @@ def _t_affine_numeric(mr: MrSpec, source: Dataset) -> Dataset:
     with np.errstate(over="ignore"):
         for j in set(targets):
             columns[j] = scale * columns[j] + shift
-    return source.replace(columns=tuple(columns))
+    return replace(source, columns=tuple(columns))
 
 
 def _fresh_attribute_name(source: Dataset, base: str) -> str:
@@ -368,7 +363,7 @@ def _t_relabel_classes(mr: MrSpec, source: Dataset) -> Dataset:
     lookup = np.array([class_attr.values.index(mapping[v]) for v in class_attr.values] + [-1])
     columns = list(source.columns)
     columns[class_index] = lookup[columns[class_index]]
-    return source.replace(columns=tuple(columns))
+    return replace(source, columns=tuple(columns))
 
 
 def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
@@ -394,7 +389,7 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
         for _ in range(count)
     ]
     columns = tuple(np.concatenate([c, a]) for c, a in zip(source.columns, zip(*new_rows)))
-    return source.replace(columns=columns)
+    return replace(source, columns=columns)
 
 
 # transform name -> (handler, needs seed=, required parameters: any one of them)
@@ -437,5 +432,4 @@ def build_pairs(catalog: list[MrSpec], source: Dataset) -> list[MrPair]:
 
 def pair_from_files(mr_id: str, name: str, source: Dataset, followup: Dataset) -> MrPair:
     """Pair a source with a follow-up loaded from disk (not recomputable)."""
-    mr = MrSpec(mr_id, name, EXTERNAL)
-    return MrPair(mr, source, followup, recomputable=False)
+    return MrPair(MrSpec(mr_id, name, EXTERNAL), source, followup)

@@ -56,7 +56,7 @@ def _read_json(path: str, kind: str = ""):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {kind}{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{kind}{path} is not valid JSON: {exc}") from exc

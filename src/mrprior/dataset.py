@@ -4,7 +4,10 @@ A dataset holds one read-only numpy array per attribute: float64 for a
 numeric attribute (NaN marks a missing cell) and int64 codes into the
 value-set for a nominal one (-1 marks a missing cell).  Datasets are
 immutable after construction and validated once, a whole column at a time.
-Writers and tests read cells row by row through ``Dataset.rows``.
+Readers build the columns and writers format them: a column's cells are
+the ``repr`` of a float, the value text of a nominal code, or ``?`` when
+missing.  Every CSV input goes through one record reader, ``csv_records``.
+Every input file is read as UTF-8.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -116,17 +119,6 @@ class Dataset:
         return len(self.columns[0])
 
     @property
-    def rows(self) -> tuple[tuple, ...]:
-        """Cells row by row: ``float``, ``str`` or None (missing)."""
-        cells = []
-        for attr, column in zip(self.attributes, self.columns):
-            if attr.is_numeric:
-                cells.append([None if math.isnan(v) else v for v in column.tolist()])
-            else:
-                cells.append([None if c < 0 else attr.values[c] for c in column.tolist()])
-        return tuple(zip(*cells))
-
-    @property
     def class_attribute(self) -> Attribute | None:
         if self.class_index is None:
             return None
@@ -141,19 +133,9 @@ class Dataset:
             i for i in self.non_class_indices() if self.attributes[i].is_numeric
         )
 
-    def replace(self, **changes) -> "Dataset":
-        fields = {
-            "name": self.name,
-            "attributes": self.attributes,
-            "columns": self.columns,
-            "class_index": self.class_index,
-        }
-        fields.update(changes)
-        return Dataset(**fields)
-
     def take(self, rows: np.ndarray) -> "Dataset":
         """The dataset made of the rows at the indices *rows*, in that order."""
-        return self.replace(columns=tuple(c[rows] for c in self.columns))
+        return replace(self, columns=tuple(c[rows] for c in self.columns))
 
 
 def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int) -> int:
@@ -171,6 +153,24 @@ def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int
 # CSV
 # ---------------------------------------------------------------------------
 
+def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank records of a CSV file, each with the file line it starts on.
+
+    A file that cannot be opened, decoded as UTF-8 or parsed as CSV raises
+    InputError.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            start = 1   # the file line the next record starts on
+            for record in reader:
+                if record:   # a blank line is no record
+                    yield start, record
+                start = reader.line_num + 1
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_csv(
     path: str,
     header: bool = True,
@@ -187,20 +187,12 @@ def load_csv(
     records: list[list[str]] = []
     ragged = None   # (file line, field count) of the first record unlike the first one
     first = 1       # the file line the first record starts on
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            start = 1   # the file line the next record starts on
-            for record in reader:
-                if record:   # a blank line is no record
-                    if not records:
-                        first = start
-                    elif ragged is None and len(record) != len(records[0]):
-                        ragged = (start, len(record))
-                    records.append(record)
-                start = reader.line_num + 1
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    for line, record in csv_records(path):
+        if not records:
+            first = line
+        elif ragged is None and len(record) != len(records[0]):
+            ragged = (line, len(record))
+        records.append(record)
     if not records:
         raise InputError(f"{path}: empty file")
 
@@ -253,19 +245,22 @@ def _numeric_column(texts: list[str | None]) -> list[float] | None:
     return numbers
 
 
+def _column_texts(dataset: Dataset) -> Iterator[list[str]]:
+    """Each column's cells as written: ``repr`` of a float, the value text of
+    a nominal code, or ``?`` for a missing cell."""
+    for attr, column in zip(dataset.attributes, dataset.columns):
+        if attr.is_numeric:
+            yield ["?" if math.isnan(v) else repr(v) for v in column.tolist()]
+        else:
+            yield ["?" if c < 0 else attr.values[c] for c in column.tolist()]
+
+
 def save_csv(dataset: Dataset, path: str) -> None:
     """Write the dataset with a header row; missing cells become ``?``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in dataset.attributes])
-        for row in dataset.rows:
-            writer.writerow(["?" if c is None else _format_cell(c) for c in row])
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+        writer.writerows(zip(*_column_texts(dataset)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,7 @@ def load_arff(
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
     relation = None
@@ -421,25 +416,21 @@ def save_arff(dataset: Dataset, path: str) -> None:
                 inner = ",".join(_arff_quote(v) for v in attr.values)
                 fh.write(f"@attribute {_arff_quote(attr.name)} {{{inner}}}\n")
         fh.write("\n@data\n")
-        for row in dataset.rows:
-            fh.write(",".join("?" if c is None else _arff_quote(_format_cell(c)) for c in row))
-            fh.write("\n")
+        for row in zip(*_column_texts(dataset)):
+            fh.write(",".join(map(_arff_quote, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Numeric feature view
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumericView:
     """Imputed (and optionally standardized) numeric non-class feature matrix."""
 
     matrix: np.ndarray
     raw: np.ndarray = field(repr=False)   # the imputed matrix before standardization
     feature_names: tuple[str, ...]
-    standardized: bool
-    means: np.ndarray
-    stds: np.ndarray
     constant_mask: np.ndarray = field(repr=False)
 
     @property
@@ -503,8 +494,5 @@ def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
         matrix=matrix,
         raw=raw,
         feature_names=tuple(dataset.attributes[i].name for i in indices),
-        standardized=standardize,
-        means=means,
-        stds=stds,
         constant_mask=constant,
     )

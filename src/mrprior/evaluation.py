@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import csv_records
 from .errors import ApplicabilityError, InputError, InvariantError
 from .records import Record
 
@@ -44,7 +45,7 @@ def _check_ids(mr_ids, column_ids, cells: np.ndarray, matrix: str, column: str) 
         raise InputError(f"{matrix} shape does not match its id lists")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KillMatrix:
     mr_ids: tuple[str, ...]
     mutant_ids: tuple[str, ...]
@@ -57,6 +58,9 @@ class KillMatrix:
             raise InputError("execution time vector does not match the MR list")
         if np.any(self.exec_time < 0) or not np.all(np.isfinite(self.exec_time)):
             raise InputError("execution times must be finite and non-negative")
+        # a Python sum overflows to inf without numpy's warning
+        if not math.isfinite(sum(self.exec_time.tolist())):
+            raise InputError("execution times must have a finite sum")
 
     @property
     def killable_mask(self) -> np.ndarray:
@@ -67,7 +71,7 @@ class KillMatrix:
         return tuple(m for m, killable in zip(self.mutant_ids, self.killable_mask) if not killable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageMatrix:
     mr_ids: tuple[str, ...]
     element_ids: tuple[str, ...]
@@ -78,17 +82,8 @@ class CoverageMatrix:
 
 
 def _read_csv_records(path: str) -> list[tuple[int, list[str]]]:
-    """CSV records with line numbers; blank and ``#`` comment lines skipped."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return [
-        (lineno, r)
-        for lineno, r in enumerate(rows, start=1)
-        if r and not r[0].lstrip().startswith("#")
-    ]
+    """CSV records with the file line each starts on; ``#`` comment records skipped."""
+    return [(n, r) for n, r in csv_records(path) if not r[0].lstrip().startswith("#")]
 
 
 def _read_binary_matrix(path: str, what: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -301,7 +296,7 @@ class EffectiveSize(Record):
     size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport(Record):
     kind: str                               # "single" or "averaged"
     ordering: tuple[str, ...] | None

@@ -40,7 +40,7 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierReport(Record):
     indices: tuple[int, ...]   # flagged rows, ascending
     scores: np.ndarray         # kth-NN distance per row
@@ -127,7 +127,7 @@ def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> 
     return OutlierReport(flagged, scores, k, contamination)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnomalySummary:
     report: OutlierReport
     feature_names: tuple[str, ...]   # numeric attribute names, sorted

@@ -18,7 +18,7 @@ from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSummary(Record):
     k: int
     centroids: np.ndarray

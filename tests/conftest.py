@@ -46,6 +46,17 @@ def from_rows(name, attributes, rows, class_index=None):
     return Dataset(name, tuple(attributes), tuple(columns), class_index)
 
 
+def rows(dataset):
+    """Cells of *dataset* row by row: float, str or None (missing)."""
+    cells = []
+    for attr, column in zip(dataset.attributes, dataset.columns):
+        if attr.is_numeric:
+            cells.append([None if math.isnan(v) else v for v in column.tolist()])
+        else:
+            cells.append([None if c < 0 else attr.values[c] for c in column.tolist()])
+    return tuple(zip(*cells))
+
+
 def random_dataset(rng: np.random.Generator, n_rows=None, n_attrs=None, missing=0.0,
                    name="random"):
     """Random mixed-kind dataset with a nominal class attribute."""

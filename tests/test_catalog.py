@@ -12,7 +12,7 @@ from mrprior import (
 )
 from mrprior.catalog import TRANSFORMS
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, rows
 
 
 def ibk_row():
@@ -32,14 +32,14 @@ class TestTransforms:
     def test_identity(self):
         d = ibk_row()
         out = apply_mr(MrSpec("M", "id", "identity"), d)
-        assert out.rows == d.rows
+        assert rows(out) == rows(d)
         assert out.attributes == d.attributes
 
     def test_permute_attributes_reverse(self):
         d = ibk_row()
         mr = MrSpec("M", "rev", "permute_attributes", {"perm": "3,2,1,0"})
         out = apply_mr(mr, d)
-        assert out.rows[0] == (38.0, 3.0, 16.0, 45.0, "0")
+        assert rows(out)[0] == (38.0, 3.0, 16.0, 45.0, "0")
         assert [a.name for a in out.attributes] == ["att4", "att3", "att2", "att1", "profit"]
         assert out.class_index == 4
 
@@ -47,7 +47,7 @@ class TestTransforms:
         d = ibk_row()
         mr = MrSpec("M", "shuffle", "permute_attributes", seed=5)
         out1, out2 = apply_mr(mr, d), apply_mr(mr, d)
-        assert out1.rows == out2.rows
+        assert rows(out1) == rows(out2)
         assert sorted(a.name for a in out1.attributes) == sorted(a.name for a in d.attributes)
 
     def test_permute_attributes_bad_perm(self):
@@ -58,25 +58,25 @@ class TestTransforms:
     def test_permute_instances_preserves_multiset(self):
         d = random_dataset(np.random.default_rng(0), n_rows=20)
         out = apply_mr(MrSpec("M", "p", "permute_instances", seed=3), d)
-        assert sorted(map(repr, out.rows)) == sorted(map(repr, d.rows))
-        assert out.rows != d.rows
+        assert sorted(map(repr, rows(out))) == sorted(map(repr, rows(d)))
+        assert rows(out) != rows(d)
 
     def test_affine_example(self):
         d = make_dataset({"x": [1, 2, 3]})
         out = apply_mr(MrSpec("M", "a", "affine_numeric", {"scale": 2.0, "shift": 1.0}), d)
-        assert [r[0] for r in out.rows] == [3.0, 5.0, 7.0]
+        assert [r[0] for r in rows(out)] == [3.0, 5.0, 7.0]
 
     def test_affine_selected_columns(self):
         d = make_dataset({"x": [1.0], "y": [10.0]})
         out = apply_mr(
             MrSpec("M", "a", "affine_numeric", {"scale": 3.0, "columns": "y"}), d
         )
-        assert out.rows[0] == (1.0, 30.0)
+        assert rows(out)[0] == (1.0, 30.0)
 
     def test_affine_skips_missing(self):
         d = make_dataset({"x": [1.0, None]})
         out = apply_mr(MrSpec("M", "a", "affine_numeric", {"scale": 2.0}), d)
-        assert out.rows[1][0] is None
+        assert rows(out)[1][0] is None
 
     def test_affine_rejects_nominal_column(self):
         d = ibk_row()
@@ -92,7 +92,7 @@ class TestTransforms:
         assert len(out.attributes) == 6
         assert out.attributes[4].name == "uninformative"
         assert out.attributes[4].is_numeric
-        assert all(r[4] == 7.0 for r in out.rows)
+        assert all(r[4] == 7.0 for r in rows(out))
         assert out.class_index == 5
         assert out.attributes[5].name == "profit"
 
@@ -111,7 +111,7 @@ class TestTransforms:
         out = apply_mr(mr, d)
         assert out.attributes[4].name == "informative"
         assert out.attributes[4].is_numeric
-        assert [r[4] for r in out.rows] == [1.0, 2.0]
+        assert [r[4] for r in rows(out)] == [1.0, 2.0]
 
     def test_add_informative_requires_total_map(self):
         d = ibk_row()
@@ -126,8 +126,8 @@ class TestTransforms:
         )
         assert out.n_rows == 15
         # the added rows all exist in the source
-        source = set(map(repr, d.rows))
-        assert all(repr(r) in source for r in out.rows[10:])
+        source = set(map(repr, rows(d)))
+        assert all(repr(r) in source for r in rows(out)[10:])
 
     def test_duplicate_fraction_0_05_rounds(self):
         d = random_dataset(np.random.default_rng(2), n_rows=10)
@@ -142,14 +142,14 @@ class TestTransforms:
             MrSpec("M", "r", "remove_instances", {"fraction": 0.25}, seed=9), d
         )
         assert out.n_rows == 15
-        source = list(map(repr, d.rows))
-        for row in out.rows:
+        source = list(map(repr, rows(d)))
+        for row in rows(out):
             source.remove(repr(row))  # every kept row really came from the source
 
     def test_remove_class(self):
         d = ibk_row()
         out = apply_mr(MrSpec("M", "rc", "remove_class", {"label": "0"}), d)
-        assert all(r[out.class_index] != "0" for r in out.rows)
+        assert all(r[out.class_index] != "0" for r in rows(out))
         assert out.n_rows == 1
         assert "0" not in out.attributes[out.class_index].values
 
@@ -161,7 +161,7 @@ class TestTransforms:
     def test_relabel_classes(self):
         d = make_dataset({"x": [1, 2], "cls": ["a", "b"]}, class_name="cls")
         out = apply_mr(MrSpec("M", "rl", "relabel_classes", {"map": "a:b,b:a"}), d)
-        assert [r[1] for r in out.rows] == ["b", "a"]
+        assert [r[1] for r in rows(out)] == ["b", "a"]
         assert out.attributes[1].values == ("a", "b")
 
     def test_relabel_requires_permutation(self):
@@ -173,7 +173,7 @@ class TestTransforms:
         d = ibk_row()
         out = apply_mr(MrSpec("M", "ad", "add_data_points", {"count": 50}, seed=4), d)
         assert out.n_rows == 52
-        for row in out.rows[2:]:
+        for row in rows(out)[2:]:
             assert 12.0 <= row[0] <= 45.0
             assert 16.0 <= row[1] <= 99.0
             assert row[4] in ("0", "2", "1", "3", "4")
@@ -187,13 +187,13 @@ class TestTransforms:
             ("add_data_points", {"count": 10}),
         ]:
             mr = MrSpec("M", transform, transform, params, seed=77)
-            assert apply_mr(mr, d).rows == apply_mr(mr, d).rows
+            assert rows(apply_mr(mr, d)) == rows(apply_mr(mr, d))
 
     def test_seed_changes_output(self):
         d = random_dataset(np.random.default_rng(5), n_rows=30)
         a = apply_mr(MrSpec("M", "p", "permute_instances", seed=1), d)
         b = apply_mr(MrSpec("M", "p", "permute_instances", seed=2), d)
-        assert a.rows != b.rows
+        assert rows(a) != rows(b)
 
     def test_class_required(self):
         d = make_dataset({"x": [1, 2]})
@@ -350,11 +350,10 @@ class TestPairs:
         d = ibk_row()
         pairs = build_pairs(load_catalog(str(p)), d)
         assert [pair.mr.id for pair in pairs] == ["MR1", "MR2", "MR3", "MR4", "MR5"]
-        assert all(pair.recomputable for pair in pairs)
         assert all(pair.source is d for pair in pairs)
         # applying again reproduces each follow-up
         for pair in pairs:
-            assert apply_mr(pair.mr, d).rows == pair.followup.rows
+            assert rows(apply_mr(pair.mr, d)) == rows(pair.followup)
 
     def test_build_pairs_collects_failures(self, tmp_path):
         p = tmp_path / "cat.txt"
@@ -366,6 +365,5 @@ class TestPairs:
         d = ibk_row()
         f = apply_mr(MrSpec("X", "x", "identity"), d)
         pair = pair_from_files("EXT1", "external pair", d, f)
-        assert not pair.recomputable
         with pytest.raises(ApplicabilityError):
             apply_mr(pair.mr, d)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -840,3 +841,70 @@ def test_negative_catalog_seed_cites_its_line(config_workspace, monkeypatch, cap
                "--catalog", "neg.txt", "--metric", "distribution", "--out", "r.json"])
     assert rc == 2
     assert capsys.readouterr().err == "error: neg.txt: line 1: seed must be >= 0, got -1\n"
+
+
+def prioritize_argv(ws):
+    return ["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+            "--catalog", ws["catalog"], "--metric", "distribution"]
+
+
+def evaluate_argv(ws):
+    return ["evaluate", "--order", ws["order"], "--kills", ws["kills"], "--times", ws["times"]]
+
+
+# every input file kind: (a command that reads it, the file), given a config_workspace
+INPUT_KINDS = {
+    "dataset-csv": lambda ws: (prioritize_argv(ws), ws["labelled"]),
+    "dataset-arff": lambda ws: ([*prioritize_argv(ws), "--dataset", ws["arff"]], ws["arff"]),
+    "catalog": lambda ws: (prioritize_argv(ws), ws["catalog"]),
+    "kills": lambda ws: (evaluate_argv(ws), ws["kills"]),
+    "times": lambda ws: (evaluate_argv(ws), ws["times"]),
+    "coverage": lambda ws: (["baseline", "coverage", "--coverage", ws["coverage"]],
+                            ws["coverage"]),
+    "ordering": lambda ws: (evaluate_argv(ws), ws["order"]),
+    "ranking": lambda ws: (["evaluate", "--ranking", ws["ranking"], "--kills", ws["kills"],
+                            "--times", ws["times"]], ws["ranking"]),
+    "report": lambda ws: (["compare", "--treatment", ws["treat"], "--baseline", ws["base"]],
+                          ws["treat"]),
+    "config": lambda ws: ([*evaluate_argv(ws), "--config", ws["config"]], ws["config"]),
+}
+CSV_KINDS = ("dataset-csv", "kills", "times", "coverage")
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [(kind, "non-utf8") for kind in INPUT_KINDS] + [(kind, "long-field") for kind in CSV_KINDS],
+)
+def test_unreadable_input_exits_2_naming_the_file(config_workspace, monkeypatch, capsys,
+                                                  kind, damage):
+    ws = config_workspace
+    d = ws["dir"]
+    ws["arff"] = write(d / "labelled.arff", "@relation r\n@attribute x numeric\n"
+                                            "@attribute c {a,b}\n@data\n1,a\n2,b\n")
+    ws["ranking"] = write(d / "ranking.json", json.dumps(
+        {"ranking": {"entries": [{"mr_id": "MR1", "rank": 1}, {"mr_id": "MR2", "rank": 2}]}}))
+    ws["config"] = write(d / "config.json", json.dumps({"seed": 1}))
+    argv, path = INPUT_KINDS[kind](ws)
+    monkeypatch.chdir(d)
+    assert main([*argv, "--out", "o.json"]) == 0
+    data = Path(path).read_bytes()
+    if damage == "non-utf8":
+        Path(path).write_bytes(data[:1] + b"\xff" + data[1:])
+    else:   # a field beyond the csv module's 131,072-character limit
+        Path(path).write_bytes(data.replace(b"\n", b"\n" + b"1" * 200_000 + b",", 1))
+    assert main([*argv, "--out", "o.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+
+
+def test_overflowing_time_total_exits_2(tmp_path, capsys):
+    times = write(tmp_path / "t.csv", "mr_id,exec_seconds\nMR1,1e308\nMR2,1e308\n")
+    order = write(tmp_path / "o.json", json.dumps({"ordering": ["MR1", "MR2"]}))
+    for kills in ("mr_id,m1\nMR1,0\nMR2,1\n", "mr_id,m1\nMR1,1\nMR2,0\n"):
+        kills = write(tmp_path / "k.csv", kills)
+        for argv in (["evaluate", "--order", order], ["baseline", "random"]):
+            out = str(tmp_path / "r.json")
+            assert main([*argv, "--kills", kills, "--times", times, "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                "error: execution times must have a finite sum\n")

@@ -120,7 +120,7 @@ class TestClusteringDiversity:
             ds = random_dataset(rng, name=f"ident{run}")
             while not ds.numeric_indices():
                 ds = random_dataset(rng, name=f"ident{run}")
-            raw, _ = clustering_diversity(ds, ds, k=min(3, len(ds.rows)))
+            raw, _ = clustering_diversity(ds, ds, k=min(3, ds.n_rows))
             assert raw == 0.0
 
     def test_permuted_instances_score_zero(self):

@@ -15,7 +15,7 @@ from mrprior import (
     save_csv,
 )
 
-from conftest import from_rows, make_dataset
+from conftest import from_rows, make_dataset, rows
 
 
 class TestDatasetModel:
@@ -63,7 +63,7 @@ class TestDatasetModel:
                 column[0] = 0
         x[0] = 5.0
         codes[1] = 0
-        assert d.rows == ((1.0, "b"), (None, None))
+        assert rows(d) == ((1.0, "b"), (None, None))
 
 
 class TestCsv:
@@ -75,15 +75,15 @@ class TestCsv:
         assert d.attributes[1].values == ("1", "x", "2")
         assert d.attributes[2].values == ("yes", "no")
         assert d.class_index == 2
-        assert d.rows[1] == (2.5, "x", "no")
+        assert rows(d)[1] == (2.5, "x", "no")
 
     def test_missing_tokens(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n?,1\n,2\n3,?\n")
         d = load_csv(str(p))
-        assert d.rows[0][0] is None
-        assert d.rows[1][0] is None
-        assert d.rows[2][1] is None
+        assert rows(d)[0][0] is None
+        assert rows(d)[1][0] is None
+        assert rows(d)[2][1] is None
         assert d.attributes[0].is_numeric  # '?' cells do not block inference
 
     def test_no_header_names(self, tmp_path):
@@ -152,7 +152,7 @@ class TestCsv:
         assert [a.values for a in d2.attributes] == [a.values for a in d1.attributes]
         assert d2.class_index == d1.class_index
         assert d2.n_rows == d1.n_rows
-        for r1, r2 in zip(d1.rows, d2.rows):
+        for r1, r2 in zip(rows(d1), rows(d2)):
             for c1, c2 in zip(r1, r2):
                 if isinstance(c1, float):
                     assert math.isclose(c1, c2, rel_tol=0, abs_tol=1e-12)
@@ -169,7 +169,7 @@ class TestCsv:
             save_csv(d1, str(p))
             d2 = load_csv(str(p), class_column="cls")
             assert [a.values for a in d2.attributes] == [a.values for a in d1.attributes]
-            assert d2.rows == d1.rows
+            assert rows(d2) == rows(d1)
 
 
 ARFF_IBK = """% synthetic classifier data
@@ -196,8 +196,8 @@ class TestArff:
         assert len(d.attributes) == 5
         assert d.class_index == 4
         assert d.attributes[4].values == ("0", "2", "1", "3", "4")
-        assert d.rows[0] == (45.0, 16.0, 3.0, 38.0, "0")
-        assert d.rows[1][2] is None
+        assert rows(d)[0] == (45.0, 16.0, 3.0, 38.0, "0")
+        assert rows(d)[1][2] is None
 
     def test_rejects_string_attribute_with_line(self, tmp_path):
         p = tmp_path / "t.arff"
@@ -252,7 +252,7 @@ class TestArff:
             d2 = load_arff(str(p), class_column="cls")
             assert [a.values for a in d2.attributes] == [a.values for a in d1.attributes]
             assert d2.n_rows == d1.n_rows
-            for r1, r2 in zip(d1.rows, d2.rows):
+            for r1, r2 in zip(rows(d1), rows(d2)):
                 for c1, c2 in zip(r1, r2):
                     if isinstance(c1, float):
                         assert c1 == c2
@@ -265,7 +265,7 @@ class TestArff:
         save_arff(d, str(p))
         d2 = load_arff(str(p))
         assert d2.attributes[0].name == "a b"
-        assert d2.rows[0][1] == "x y"
+        assert rows(d2)[0][1] == "x y"
 
 
 class TestNumericView:
@@ -273,8 +273,7 @@ class TestNumericView:
         d = make_dataset({"x": [0, 10]})
         v = numeric_view(d, standardize=True)
         assert v.matrix[:, 0].tolist() == [-1.0, 1.0]
-        assert v.means[0] == 5.0
-        assert v.stds[0] == 5.0
+        assert v.raw[:, 0].tolist() == [0.0, 10.0]
 
     def test_population_std_and_unit_variance(self):
         rng = np.random.default_rng(3)

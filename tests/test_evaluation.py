@@ -248,6 +248,30 @@ class TestLoaders:
         with pytest.raises(InputError, match="line 2"):
             load_coverage_matrix(str(ragged))
 
+    @pytest.mark.parametrize("what, text", [
+        ("kills", 'mr_id,m1,m2\n"MR\n1",1,0\nMR2,1,x\n'),
+        ("times", 'mr_id,exec_seconds\n"MR\n1",1\nMR2,x\n'),
+        ("coverage", 'mr_id,e1,e2\n"MR\n1",1,0\nMR2,1,x\n'),
+    ])
+    def test_errors_cite_the_file_line_after_a_multi_line_record(self, tmp_path, what, text):
+        # the quoted id spans lines 2-3, so the bad record starts on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        load = {"kills": lambda: load_kill_matrix(str(path), str(path)),
+                "times": lambda: load_times(str(path)),
+                "coverage": lambda: load_coverage_matrix(str(path))}[what]
+        with pytest.raises(InputError, match=r": line 4: "):
+            load()
+
+    def test_times_with_an_overflowing_total_are_rejected(self):
+        with pytest.raises(InputError, match="finite sum"):
+            km_from([[0], [1]], [1e308, 1e308])
+        with pytest.raises(InputError, match="finite sum"):
+            synth_kill_matrix(2, 3, times=1e308)
+        with pytest.raises(InputError, match="finite sum"):
+            synth_kill_matrix(4, 3, times=(1e308, 1.5e308))
+        assert km_from([[0], [1]], [1e308, 7e307]).exec_time.sum() < math.inf
+
     def test_header_and_empty_errors(self, tmp_path):
         bad_header = tmp_path / "h.csv"
         bad_header.write_text("id,m1\nMR1,1\n")

@@ -3,10 +3,17 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+import pytest
 
 from mrprior.catalog import MrSpec, build_pairs
 from mrprior.dataset import numeric_view
-from mrprior.evaluation import EffectiveSize, EvalReport, evaluate_ordering, synth_kill_matrix
+from mrprior.evaluation import (
+    CoverageMatrix,
+    EffectiveSize,
+    EvalReport,
+    evaluate_ordering,
+    synth_kill_matrix,
+)
 from mrprior.metrics import (
     AttributeStats,
     ClusterSummary,
@@ -22,6 +29,7 @@ from mrprior.metrics import (
     knn_outliers,
     score_catalog,
 )
+from mrprior.metrics.anomaly import anomaly_summary
 from mrprior.prioritizer import RankEntry, Ranking, normalize, rank
 from mrprior.records import Record
 
@@ -141,3 +149,30 @@ def test_every_record_uses_record_to_dict():
     assert EvalReport in EXPORTED_KEYS
     for cls in EXPORTED_KEYS:
         assert cls.to_dict is Record.to_dict, cls.__name__
+
+
+def _equal_pairs():
+    """Two equal but distinct instances of each record type that holds an array."""
+    km = synth_kill_matrix(3, 5, kill_prob=0.6, seed=2)
+    dataset = make_dataset({"x": [0.0, 1.0, 2.0, 9.0], "y": [1.0, 1.0, 0.0, 5.0]})
+    view = numeric_view(dataset)
+    makers = {
+        "EvalReport": lambda: evaluate_ordering(km.mr_ids, km),
+        "KillMatrix": lambda: synth_kill_matrix(3, 5, kill_prob=0.6, seed=2),
+        "CoverageMatrix": lambda: CoverageMatrix(("MR1",), ("e1",), np.array([[True]])),
+        "NumericView": lambda: numeric_view(dataset),
+        "OutlierReport": lambda: knn_outliers(view, k=1, contamination=0.25),
+        "AnomalySummary": lambda: anomaly_summary(dataset, k=1, contamination=0.25),
+        "ClusterSummary": lambda: kmeans_summary(view, k=2, seed=0),
+    }
+    return {kind: (make(), make()) for kind, make in makers.items()}
+
+
+@pytest.mark.parametrize("kind", ["EvalReport", "KillMatrix", "CoverageMatrix", "NumericView",
+                                  "OutlierReport", "AnomalySummary", "ClusterSummary"])
+def test_records_with_arrays_compare_by_identity(kind):
+    first, second = _equal_pairs()[kind]
+    assert type(first).__name__ == kind
+    # equal contents, distinct objects: == is identity, and it does not raise
+    assert (first == second) is False
+    assert first == first

@@ -15,7 +15,7 @@ from mrprior.metrics.rules import (
     rule_diversity,
 )
 
-from conftest import from_rows, make_dataset, random_dataset
+from conftest import from_rows, make_dataset, random_dataset, rows
 
 LAPLACE_10_OF_10 = 11.0 / 12.0
 
@@ -92,8 +92,8 @@ class TestCn2Induce:
 
     def test_constant_nominal_attribute_changes_nothing(self):
         ds = separable_dataset()
-        f = [row[0] for row in ds.rows]
-        labels = [row[1] for row in ds.rows]
+        f = [row[0] for row in rows(ds)]
+        labels = [row[1] for row in rows(ds)]
         extended = make_dataset(
             {"f": f, "g": ["u"] * 20, "cls": labels}, class_name="cls"
         )
@@ -156,7 +156,7 @@ class TestClassify:
     def test_separable_fixture_classified_perfectly(self):
         ds = separable_dataset()
         ruleset = cn2_induce(ds)
-        truth = [row[1] for row in ds.rows]
+        truth = [row[1] for row in rows(ds)]
         assert classify(ds, ruleset) == truth
 
     def test_default_class_fills_gaps(self):

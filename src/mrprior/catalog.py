@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import shlex
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -414,20 +415,27 @@ def _lookup(transform: str) -> tuple:
     return TRANSFORMS[transform]
 
 
-def build_pairs(catalog: list[MrSpec], source: Dataset) -> list[MrPair]:
-    """Apply every MR to *source*; failures are collected and reported together."""
-    pairs: list[MrPair] = []
+def build_pairs(catalog: Iterable[MrSpec], source: Dataset) -> Iterator[MrPair]:
+    """Yield each MR's pair with *source*, applying the MR when it is drawn.
+
+    Every MR is applied and the failures are reported together, when the
+    loop ends; no pair is yielded after the first failure, so a consumer
+    never scores a catalog that cannot be applied in full.
+    """
     failures: list[str] = []
     for mr in catalog:
         try:
-            pairs.append(MrPair(mr, source, apply_mr(mr, source)))
+            followup = apply_mr(mr, source)
         except (InputError, ApplicabilityError) as exc:
             failures.append(f"{mr.id}: {exc}")
+            continue
+        if not failures:
+            yield MrPair(mr, source, followup)
+        del followup  # hold no follow-up while the next MR is applied
     if failures:
         raise ApplicabilityError(
             "catalog could not be applied:\n  " + "\n  ".join(failures)
         )
-    return pairs
 
 
 def pair_from_files(mr_id: str, name: str, source: Dataset, followup: Dataset) -> MrPair:

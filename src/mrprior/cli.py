@@ -172,16 +172,18 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
         names = [n for n in names if n.lower().endswith((".csv", ".arff"))]
         if not names:
             raise InputError(f"{directory}: no .csv or .arff follow-up files")
-        pairs = []
-        for filename in names:
-            mr_id = os.path.splitext(filename)[0]
-            followup = _load_dataset(
-                os.path.join(directory, filename),
-                args.format,
-                header=not args.no_header,
-                class_column=class_column,
-            )
-            pairs.append(pair_from_files(mr_id, mr_id, source, followup))
+
+        def load_pairs():
+            # one file per pair drawn, in filename order; the follow-up is
+            # passed on unnamed, so nothing holds it while the next one loads
+            for filename in names:
+                mr_id = os.path.splitext(filename)[0]
+                path = os.path.join(directory, filename)
+                yield pair_from_files(mr_id, mr_id, source, _load_dataset(
+                    path, args.format, header=not args.no_header, class_column=class_column
+                ))
+
+        pairs = load_pairs()
 
     params = MetricParams(**{f.name: getattr(args, f.name) for f in fields(MetricParams)})
     scores = normalize(score_catalog(pairs, args.metric, params))

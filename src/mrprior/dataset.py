@@ -278,8 +278,11 @@ def _unquote(token: str) -> str:
     return token
 
 
-def _split_csv_line(line: str) -> list[str]:
-    return next(csv.reader([line], skipinitialspace=True))
+def _split_csv_line(path: str, lineno: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line], skipinitialspace=True))
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {lineno}: {exc}") from None
 
 
 def load_arff(
@@ -358,7 +361,7 @@ def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
         return Attribute(attr_name)
     if type_spec.startswith("{") and type_spec.endswith("}"):
         inner = type_spec[1:-1]
-        values = [_unquote(v) for v in _split_csv_line(inner)]
+        values = [_unquote(v) for v in _split_csv_line(path, lineno, inner)]
         values = [v for v in values if v != ""]
         if not values:
             raise InputError(f"{path}: line {lineno}: empty nominal value-set")
@@ -373,7 +376,7 @@ def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
 
 def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribute]) -> list:
     """Column cells of one data line: floats (NaN missing) or codes (-1 missing)."""
-    fields = [_unquote(f) for f in _split_csv_line(line)]
+    fields = [_unquote(f) for f in _split_csv_line(path, lineno, line)]
     if len(fields) != len(attributes):
         raise InputError(
             f"{path}: line {lineno}: expected {len(attributes)} values, got {len(fields)}"

@@ -232,9 +232,20 @@ def _run_apfds(first: np.ndarray, n: int) -> list[float]:
     return [1.0 - int(s) / (n * found) + 1.0 / (2 * n) for s in first.sum(axis=1) + found]
 
 
+def _check_averageable(km: KillMatrix, count: int, what: str) -> None:
+    """A time to fault is at most the total time, so a mean of *count* of
+    them is finite, rounding included, when twice the total times *count* is."""
+    total = sum(km.exec_time.tolist())
+    if not math.isfinite(2 * total * count):
+        raise InputError(
+            f"execution times total {total:g} s, too large to average over {count} {what}"
+        )
+
+
 def _run_times(perms: np.ndarray, first: np.ndarray, km: KillMatrix) -> list[float]:
     if not first.shape[1]:
         raise ApplicabilityError("time to fault is undefined: no killable mutants")
+    _check_averageable(km, first.shape[1], "killable mutants")
     cumulative = np.cumsum(km.exec_time[perms], axis=1)
     return [float(np.mean(t)) for t in np.take_along_axis(cumulative, first, axis=1)]
 
@@ -385,6 +396,7 @@ def _report(
         apfd_values += _run_apfds(first, n)
         time_values += _run_times(perms, first, km)
 
+    _check_averageable(km, count, "runs")
     detection = np.zeros(km.kills.shape)
     detection[:, km.killable_mask] = np.cumsum(first_counts, axis=1).T / count
     mean_curve = tuple((curve_sum / count).tolist())

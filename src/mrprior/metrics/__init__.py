@@ -14,10 +14,11 @@ source summary with the follow-up summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..catalog import MrPair
 from ..dataset import numeric_view
-from ..errors import ApplicabilityError
+from ..errors import ApplicabilityError, MrPriorError
 from ..records import Record
 from . import anomaly, clustering, distribution, rules
 from .anomaly import OutlierReport, anomaly_diversity, anomaly_summary, knn_outliers
@@ -91,33 +92,46 @@ def score_pair(pair: MrPair, metric: str, params: MetricParams | None = None) ->
 
 
 def score_catalog(
-    pairs: list[MrPair], metric: str, params: MetricParams | None = None
+    pairs: Iterable[MrPair], metric: str, params: MetricParams | None = None
 ) -> list[DiversityScore]:
-    """Score every pair, in catalog order; all-or-nothing on failures.
+    """Score every pair, in order; all-or-nothing on failures.
 
-    Each source is summarized once per call and its summary shared by its
-    pairs; a follow-up's summary is dropped once its pair is scored.
+    *pairs* may be any iterable, a generator included.  Each pair is drawn,
+    scored and dropped before the next is drawn, so a caller that streams
+    its follow-ups holds one at a time.  A run of pairs with the same source
+    shares that source's summary.
+
+    An error that ends the run (a bad metric parameter) is raised after the
+    rest of the pairs are drawn, so that an error of their producer (an MR
+    that cannot be applied, a bad follow-up file) still comes first.
     """
-    if not pairs:
-        raise ApplicabilityError("no MR pairs to score")
-    summarize, compare = _steps(metric)
     params = params or MetricParams()
-    summaries: dict[int, object] = {}  # id(source) -> summary
+    pairs = iter(pairs)
+    source = summary = None  # the last source summarized, and its summary
     scores: list[DiversityScore] = []
     failures: list[str] = []
-    for index, pair in enumerate(pairs):
-        key = id(pair.source)
-        try:
-            # a source that fails is tried again, and fails alike, for each pair
-            if key not in summaries:
-                summaries[key] = summarize(pair.source, params)
-            raw, diagnostics = compare(summaries[key], summarize(pair.followup, params))
-        except ApplicabilityError as exc:
-            failures.append(f"{pair.mr.id}: {exc}")
-            continue
-        scores.append(
-            DiversityScore(pair.mr.id, metric, raw, catalog_index=index, diagnostics=diagnostics)
-        )
+    try:
+        summarize, compare = _steps(metric)
+        for pair in pairs:
+            index = len(scores) + len(failures)
+            try:
+                # a source that fails is tried again, and fails alike, for each pair
+                if pair.source is not source:
+                    summary, source = summarize(pair.source, params), pair.source
+                raw, diagnostics = compare(summary, summarize(pair.followup, params))
+            except ApplicabilityError as exc:
+                failures.append(f"{pair.mr.id}: {exc}")
+            else:
+                scores.append(DiversityScore(
+                    pair.mr.id, metric, raw, catalog_index=index, diagnostics=diagnostics
+                ))
+            del pair  # draw the next pair holding no follow-up
+    except MrPriorError:
+        for _ in pairs:
+            pass
+        raise
+    if not scores and not failures:
+        raise ApplicabilityError("no MR pairs to score")
     if failures:
         raise ApplicabilityError(
             f"metric {metric!r} not applicable to every MR:\n  " + "\n  ".join(failures)

@@ -348,7 +348,7 @@ class TestPairs:
         p = tmp_path / "cat.txt"
         p.write_text(CATALOG_OK)
         d = ibk_row()
-        pairs = build_pairs(load_catalog(str(p)), d)
+        pairs = list(build_pairs(load_catalog(str(p)), d))
         assert [pair.mr.id for pair in pairs] == ["MR1", "MR2", "MR3", "MR4", "MR5"]
         assert all(pair.source is d for pair in pairs)
         # applying again reproduces each follow-up
@@ -359,7 +359,7 @@ class TestPairs:
         p = tmp_path / "cat.txt"
         p.write_text('MR1 a identity\nMR2 b remove_class label=zz\n')
         with pytest.raises(ApplicabilityError, match="MR2"):
-            build_pairs(load_catalog(str(p)), ibk_row())
+            list(build_pairs(load_catalog(str(p)), ibk_row()))
 
     def test_pair_from_files(self):
         d = ibk_row()

@@ -908,3 +908,33 @@ def test_overflowing_time_total_exits_2(tmp_path, capsys):
             assert main([*argv, "--kills", kills, "--times", times, "--out", out]) == 2
             assert capsys.readouterr().err == (
                 "error: execution times must have a finite sum\n")
+
+
+@pytest.mark.parametrize("kills, times, argv, detail", [
+    # one ordering: the mean over two killable mutants would overflow
+    ("mr_id,m1,m2\nMR1,1,1\nMR2,0,0\n", "MR1,1e308\nMR2,0\n", ["evaluate", "--order"],
+     "1e+308 s, too large to average over 2 killable mutants"),
+    # 100 random runs: the mean over the runs would overflow
+    ("mr_id,m1\nMR1,1\nMR2,0\n", "MR1,1e307\nMR2,0\n", ["baseline", "random", "--runs", "100"],
+     "1e+307 s, too large to average over 100 runs"),
+])
+def test_times_too_large_to_average_exit_2(tmp_path, capsys, kills, times, argv, detail):
+    kills = write(tmp_path / "k.csv", kills)
+    times = write(tmp_path / "t.csv", "mr_id,exec_seconds\n" + times)
+    if argv[-1] == "--order":
+        argv = [*argv, write(tmp_path / "o.json", json.dumps({"ordering": ["MR1", "MR2"]}))]
+    out = str(tmp_path / "r.json")
+    assert main([*argv, "--kills", kills, "--times", times, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: execution times total {detail}\n"
+
+
+def test_huge_arff_field_exits_2_naming_the_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "d.arff", "@relation r\n@attribute x numeric\n@attribute c {a,b}\n"
+                               "@data\n1,a\n" + "1" * 200_000 + ",b\n")
+    write(tmp_path / "cat.txt", "MR1 ident identity\n")
+    rc = main(["prioritize", "--dataset", "d.arff", "--catalog", "cat.txt",
+               "--metric", "distribution", "--out", "r.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: d.arff: line 6: field larger than field limit (131072)\n")

@@ -229,6 +229,16 @@ class TestArff:
         with pytest.raises(InputError, match="line 5"):
             load_arff(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("@attribute c {a,%s}\n@data\n1,a\n" % ("b" * 200_000), 3),
+        ("@attribute c numeric\n@data\n1,%s\n" % ("2" * 200_000), 5),
+    ])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, text, line):
+        p = tmp_path / "t.arff"
+        p.write_text("@relation r\n@attribute a numeric\n" + text)
+        with pytest.raises(InputError, match=f"line {line}: field larger than field limit"):
+            load_arff(str(p))
+
     def test_missing_data_section(self, tmp_path):
         p = tmp_path / "t.arff"
         p.write_text("@relation r\n@attribute a numeric\n")

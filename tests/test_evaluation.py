@@ -484,6 +484,23 @@ class TestAvgTimeToFault:
         with pytest.raises(ApplicabilityError):
             avg_time_to_fault(["MR1"], km)
 
+    def test_times_whose_mean_could_overflow_are_rejected(self):
+        # the total is finite, but a mean over the mutants or the runs is not
+        km = km_from([[1, 1], [0, 0]], [1e308, 0.0])
+        for evaluate in (lambda: avg_time_to_fault(["MR1", "MR2"], km),
+                         lambda: evaluate_ordering(["MR1", "MR2"], km),
+                         lambda: random_baseline(km, runs=3)):
+            with pytest.raises(InputError, match="over 2 killable mutants"):
+                evaluate()
+        km = km_from([[1], [0]], [1e307, 0.0])
+        assert evaluate_ordering(["MR1", "MR2"], km).avg_time_to_fault == 1e307
+        assert random_baseline(km, runs=8).avg_time_to_fault == 1e307
+        with pytest.raises(InputError, match="over 9 runs"):
+            random_baseline(km, runs=9)
+        # well inside the bound, nothing changes
+        km = km_from([[1, 1], [0, 0]], [1e306, 0.0])
+        assert avg_time_to_fault(["MR2", "MR1"], km) == 1e306
+
 
 class TestEffectiveSetSize:
     def test_worked_examples(self):

@@ -5,7 +5,8 @@
   under the two metrics that do not depend on column order (``rule`` and
   ``clustering`` do).
 * ``score_catalog``, which summarizes each source once and shares it, gives
-  the same raw scores and diagnostics as scoring each pair on its own.
+  the same raw scores and diagnostics as scoring each pair on its own, and
+  the same for a generator of pairs as for their list.
 * Every metric's summary, every score and the ranking export plain JSON
   data: ``to_dict()`` needs no ``default=`` hook and survives a JSON round
   trip unchanged.
@@ -78,7 +79,7 @@ def test_identity_and_row_shuffle_score_exactly_zero(source, seed):
         MrSpec("MR1", "ident", "identity"),
         MrSpec("MR2", "shuffle", "permute_instances", seed=seed),
     ]
-    pairs = build_pairs(catalog, source)
+    pairs = list(build_pairs(catalog, source))
     for metric in METRICS:
         for score in score_catalog(pairs, metric):
             assert score.raw == 0.0, (metric, score.mr_id, score.raw)
@@ -87,7 +88,7 @@ def test_identity_and_row_shuffle_score_exactly_zero(source, seed):
 @settings(max_examples=40, **COMMON)
 @given(source=mixed_datasets(), seed=st.integers(0, 2**16))
 def test_attribute_permutation_scores_exactly_zero(source, seed):
-    pairs = build_pairs([MrSpec("MR1", "perm", "permute_attributes", seed=seed)], source)
+    pairs = list(build_pairs([MrSpec("MR1", "perm", "permute_attributes", seed=seed)], source))
     for metric in ("distribution", "anomaly"):
         [score] = score_catalog(pairs, metric)
         assert score.raw == 0.0, (metric, score.raw)
@@ -119,6 +120,25 @@ def test_score_catalog_matches_pairwise_scoring(source, seed):
             assert _same(score.diagnostics, alone.diagnostics)
 
 
+@settings(max_examples=15, **COMMON)
+@given(source=mixed_datasets(), seed=st.integers(0, 2**16))
+def test_score_catalog_scores_a_stream_as_its_list(source, seed):
+    catalog = [
+        MrSpec("MR1", "ident", "identity"),
+        MrSpec("MR2", "shuffle", "permute_instances", seed=seed),
+        MrSpec("MR3", "points", "add_data_points", {"count": 3}, seed=seed),
+        MrSpec("MR4", "dup", "duplicate_instances", {"fraction": 0.3}, seed=seed),
+    ]
+    for metric in METRICS:
+        listed = score_catalog(list(build_pairs(catalog, source)), metric)
+        streamed = score_catalog(build_pairs(catalog, source), metric)
+        assert [(s.mr_id, s.raw, s.catalog_index) for s in streamed] == [
+            (s.mr_id, s.raw, s.catalog_index) for s in listed
+        ]
+        for a, b in zip(streamed, listed):
+            assert _same(a.diagnostics, b.diagnostics)
+
+
 def _round_trips(exported) -> bool:
     return json.loads(json.dumps(exported)) == exported
 
@@ -139,7 +159,7 @@ def test_exports_are_plain_json(source, seed):
         MrSpec("MR2", "points", "add_data_points", {"count": 3}, seed=seed),
         MrSpec("MR3", "dup", "duplicate_instances", {"fraction": 0.3}, seed=seed),
     ]
-    pairs = build_pairs(catalog, source)
+    pairs = list(build_pairs(catalog, source))
     for metric in METRICS:
         scores = normalize(score_catalog(pairs, metric))
         for score in scores:

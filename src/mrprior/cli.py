@@ -282,6 +282,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InputError("compare needs --treatment and --baseline")
     if not 0 < args.alpha <= 1:
         raise InputError(f"alpha must be in (0, 1], got {args.alpha}")
+    # checked here too: with 20 mutants or fewer the test is exact and never reads it
+    if args.iterations < 1:
+        raise InputError(f"iterations must be >= 1, got {args.iterations}")
     treatment = _load_report(args.treatment)
     baseline = _load_report(args.baseline)
     if len(treatment.curve) != len(baseline.curve):

@@ -364,7 +364,8 @@ def report_from_dict(data: dict) -> EvalReport:
 
 # blocks of runs are evaluated together; a block's per-run arrays (runs x MRs,
 # runs x killing MR-mutant pairs) hold at most this many elements each, or one
-# run when a single run is wider
+# run when a single run is wider.  permutation_test draws its sign rows in
+# blocks of the same size.
 RUN_BLOCK_ELEMENTS = 2**15
 
 
@@ -555,10 +556,24 @@ def permutation_test(
     else:
         if iterations < 1:
             raise InputError(f"iterations must be >= 1, got {iterations}")
+        try:
+            signs = np.empty((iterations, n))
+        except (MemoryError, ValueError):
+            raise InputError(
+                f"{iterations} iterations x {n} mutants need a sign matrix of "
+                f"{iterations * n * 8} bytes, more than can be allocated"
+            ) from None
         rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(iterations, n)) * 2.0 - 1.0
+        # the sign rows are drawn in blocks straight into the float matrix, so
+        # no integer copy of it is held; PCG64 keeps its spare 32-bit half in
+        # the generator, so the stream does not depend on where blocks split
+        rows = max(1, RUN_BLOCK_ELEMENTS // n)
+        for start in range(0, iterations, rows):
+            block = signs[start:start + rows]
+            np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+            block -= 1.0
         # one GEMV per column over the whole matrix: a GEMM over all columns,
-        # or the sign rows streamed in blocks, can change the last bits
+        # or a GEMV over blocks of sign rows, can change the last bits
         p_values = [
             (count_extreme(signs @ d / n, float(np.ones(n) @ d / n)) + 1) / (iterations + 1)
             for d in diffs

@@ -827,6 +827,42 @@ def test_negative_seed_in_config_exits_2(seed_workspace, monkeypatch, capsys, co
                   "seed must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("iterations", [-5, 0])
+@pytest.mark.parametrize("mutants", [2, 24])
+def test_bad_iterations_exits_2_whatever_the_mutant_count(seed_workspace, monkeypatch, capsys,
+                                                          mutants, iterations, via):
+    # 2 mutants give an exact test, which never reads --iterations; 24 give a sampled one
+    ws = seed_workspace
+    d = ws["dir"]
+    monkeypatch.chdir(d)
+    reports = (ws["treat"], ws["base"]) if mutants == 24 else (d / "treat.json", d / "base.json")
+    argv = ["compare", "--treatment", str(reports[0]), "--baseline", str(reports[1]),
+            "--out", "o.json"]
+    if via == "flag":
+        rc = main([*argv, "--iterations", str(iterations)])
+    else:
+        rc = run_with_config(ws, argv, {"iterations": iterations})
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: iterations must be >= 1, got {iterations}\n"
+    assert not (d / "o.json").exists()
+
+
+def test_unallocatable_iterations_exits_2_naming_the_size(seed_workspace, monkeypatch, capsys):
+    # 192 PB, beyond any address space: the allocation fails before a page is touched
+    ws = seed_workspace
+    monkeypatch.chdir(ws["dir"])
+    iterations = 10**15
+    rc = main(["compare", "--treatment", ws["treat"], "--baseline", ws["base"],
+               "--iterations", str(iterations), "--out", "o.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {iterations} iterations x 24 mutants need a sign matrix of "
+        f"{iterations * 24 * 8} bytes, more than can be allocated\n"
+    )
+    assert not (ws["dir"] / "o.json").exists()
+
+
 def test_non_integer_seed_message_is_unchanged(workspace, capsys):
     with pytest.raises(SystemExit):
         main(["synth", "--mrs", "3", "--mutants", "4", "--seed", "1.5"])

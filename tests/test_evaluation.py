@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -994,6 +995,45 @@ class TestSharedNull:
             got = permutation_test(treat, base, alternative, iterations=0)
             want = [oracle_permutation_test(a, b, alternative) for a, b in zip(treat.T, base.T)]
             assert got == want
+
+    def test_one_row_blocks_match_one_whole_draw(self):
+        # wider than RUN_BLOCK_ELEMENTS, so every block of the draw is one sign
+        # row; zero-mean differences put the statistics on both sides of the
+        # observed one, so the counts depend on the signs drawn
+        n = evaluation.RUN_BLOCK_ELEMENTS + 1
+        rng = np.random.default_rng(13)
+        base = rng.uniform(size=(n, 4))
+        treat = base + rng.normal(scale=0.1, size=(n, 4))
+        for seed in (0, 7, 2023):
+            for alternative in ("greater", "two-sided"):
+                got = permutation_test(treat, base, alternative, 7, seed)
+                want = [
+                    oracle_permutation_test(a, b, alternative, 7, seed)
+                    for a, b in zip(treat.T, base.T)
+                ]
+                assert got == want
+
+    def test_peak_memory_is_one_sign_matrix(self):
+        treat, base = self.columns(500, 3, 1)
+        tracemalloc.start()
+        try:
+            permutation_test(treat, base, iterations=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 sign matrix is 40 MB; drawing it whole as int64 first doubled that
+        assert peak < 1.15 * 10000 * 500 * 8
+
+    @pytest.mark.parametrize("iterations", [10**12, 10**20])
+    def test_unallocatable_sign_matrix_is_an_input_error(self, iterations):
+        # 4 PB, and a shape numpy rejects: neither allocation touches a page
+        treat, base = self.columns(500, 2, 3)
+        with pytest.raises(InputError) as exc:
+            permutation_test(treat, base, iterations=iterations)
+        assert str(exc.value) == (
+            f"{iterations} iterations x 500 mutants need a sign matrix of "
+            f"{iterations * 500 * 8} bytes, more than can be allocated"
+        )
 
     def test_single_pair_is_the_one_column_case(self):
         treat, base = self.columns(30, 2, 5)

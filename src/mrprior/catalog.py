@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import Attribute, Dataset, parse_number
+from .dataset import Attribute, Dataset, input_lines, parse_number
 from .errors import ApplicabilityError, InputError
 
 # marker for pairs whose follow-up came from a file instead of a transform
@@ -120,12 +120,7 @@ def _parse_params(tokens: list[str]) -> dict:
 
 def load_catalog(path: str) -> list[MrSpec]:
     """Parse a catalog file into MR specs, preserving declaration order."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
+    lines = list(input_lines(path))
     specs: list[MrSpec] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):

@@ -27,7 +27,7 @@ from dataclasses import fields
 
 from . import __version__
 from .catalog import build_pairs, load_catalog, pair_from_files
-from .dataset import Dataset, load_arff, load_csv
+from .dataset import Dataset, input_lines, load_arff, load_csv
 from .errors import ApplicabilityError, InputError, InvariantError, MrPriorError
 from .evaluation import (
     DEFAULT_THRESHOLDS,
@@ -53,11 +53,9 @@ DEFAULT_SEED = MetricParams.seed
 # ---------------------------------------------------------------------------
 
 def _read_json(path: str, kind: str = ""):
+    text = "".join(input_lines(path, kind))
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {kind}{path}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{kind}{path} is not valid JSON: {exc}") from exc
 
@@ -378,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config")
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         p.set_defaults(func=func)
         return p
 
@@ -393,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="ranking.json")
     p.add_argument("--diagnostics")
     p.add_argument("--top-n", type=int)
-    p.add_argument("--seed", type=_seed, default=m.seed)
     p.add_argument("--bins", type=int, default=m.bins)
     p.add_argument("--beam-width", type=int, default=m.beam_width)
     p.add_argument("--min-covered", type=int, default=m.min_covered)
@@ -413,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times")
     p.add_argument("--thresholds", **thresholds)
     p.add_argument("--out", default="report.json")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("baseline", cmd_baseline, "random or coverage-greedy baseline")
     p.add_argument("mode", choices=("random", "coverage"))
@@ -424,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--thresholds", **thresholds)
     p.add_argument("--out")   # default depends on the mode
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("compare", cmd_compare, "compare two evaluation reports")
     p.add_argument("--treatment")
@@ -433,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", default="comparison.json")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = command("synth", cmd_synth, "generate a synthetic kill matrix")
     p.add_argument("--mrs", type=int)
@@ -442,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", default="1.0")
     p.add_argument("--out-kills", default="kills.csv")
     p.add_argument("--out-times", default="times.csv")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     return parser
 

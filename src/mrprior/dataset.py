@@ -6,8 +6,9 @@ value-set for a nominal one (-1 marks a missing cell).  Datasets are
 immutable after construction and validated once, a whole column at a time.
 Readers build the columns and writers format them: a column's cells are
 the ``repr`` of a float, the value text of a nominal code, or ``?`` when
-missing.  Every CSV input goes through one record reader, ``csv_records``.
-Every input file is read as UTF-8.
+missing.  Every input file is read through one function, ``input_lines``:
+as UTF-8, with a leading byte-order mark skipped.  Every CSV input goes
+through one record reader, ``csv_records``, fed by it.
 """
 
 from __future__ import annotations
@@ -149,6 +150,19 @@ def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int
         raise InputError(f"{dataset_name}: no column named {selector!r}") from None
 
 
+def input_lines(path: str, what: str = "") -> Iterator[str]:
+    """The lines of a UTF-8 text file, line endings kept, a leading BOM dropped.
+
+    The one place an input file is opened.  A file that cannot be opened or
+    decoded raises ``InputError("cannot read {what}{path}: ...")``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
@@ -156,18 +170,17 @@ def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int
 def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
     """The non-blank records of a CSV file, each with the file line it starts on.
 
-    A file that cannot be opened, decoded as UTF-8 or parsed as CSV raises
+    A file that cannot be read (see ``input_lines``) or parsed as CSV raises
     InputError.
     """
+    reader = csv.reader(input_lines(path))
+    start = 1   # the file line the next record starts on
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            start = 1   # the file line the next record starts on
-            for record in reader:
-                if record:   # a blank line is no record
-                    yield start, record
-                start = reader.line_num + 1
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        for record in reader:
+            if record:   # a blank line is no record
+                yield start, record
+            start = reader.line_num + 1
+    except csv.Error as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -175,14 +188,14 @@ def load_csv(
     path: str,
     header: bool = True,
     class_column: str | int | None = None,
-    name: str | None = None,
 ) -> Dataset:
     """Load a comma-separated file.
 
-    Empty cells and ``?`` are missing.  A column is numeric iff every
-    non-missing cell parses as a finite number; otherwise it is nominal with
-    the observed values (first-appearance order) as its value-set.  Without a
-    header row, columns are named ``c0``, ``c1``, ...
+    Empty cells and ``?`` are missing.  The class column, once it has a
+    label, is nominal; any other column is numeric iff every non-missing
+    cell parses as a finite number.  A nominal column has the observed values
+    (first-appearance order) as its value-set.  Without a header row,
+    columns are named ``c0``, ``c1``, ...
     """
     records: list[list[str]] = []
     ragged = None   # (file line, field count) of the first record unlike the first one
@@ -211,11 +224,13 @@ def load_csv(
     if ragged is not None:
         raise InputError(f"{path}: line {ragged[0]}: expected {n_cols} fields, got {ragged[1]}")
 
+    class_index = None if class_column is None else _resolve_column(path, names, class_column)
     attributes = []
     columns = []
-    for col_name, raw in zip(names, list(zip(*body)) or [()] * n_cols):
+    for j, (col_name, raw) in enumerate(zip(names, list(zip(*body)) or [()] * n_cols)):
         texts = [None if (t := cell.strip()) in MISSING_TOKENS else t for cell in raw]
-        numbers = _numeric_column(texts)
+        # texts holds None or non-empty strings, so any() asks for an observed label
+        numbers = None if j == class_index and any(texts) else _numeric_column(texts)
         if numbers is not None:
             # an all-missing column is numeric too: there is nothing to enumerate
             attributes.append(Attribute(col_name))
@@ -225,13 +240,7 @@ def load_csv(
             codes = {v: i for i, v in enumerate(value_set)}
             attributes.append(Attribute(col_name, value_set))
             columns.append([-1 if t is None else codes[t] for t in texts])
-
-    class_index = None
-    if class_column is not None:
-        class_index = _resolve_column(path, names, class_column)
-
-    ds_name = name if name is not None else path
-    return Dataset(ds_name, tuple(attributes), tuple(columns), class_index)
+    return Dataset(path, tuple(attributes), tuple(columns), class_index)
 
 
 def _numeric_column(texts: list[str | None]) -> list[float] | None:
@@ -297,12 +306,7 @@ def load_arff(
     attribute becomes the class; pass ``class_column=None`` for no class or a
     name/index to override.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
+    lines = list(input_lines(path))
     relation = None
     attributes: list[Attribute] = []
     rows: list[list] = []

@@ -78,17 +78,9 @@ _TABLE = {
 METRICS = tuple(_TABLE)
 
 
-def _steps(metric: str):
-    if metric not in _TABLE:
-        raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
-    return _TABLE[metric]
-
-
 def score_pair(pair: MrPair, metric: str, params: MetricParams | None = None) -> DiversityScore:
-    summarize, compare = _steps(metric)
-    params = params or MetricParams()
-    raw, diagnostics = compare(summarize(pair.source, params), summarize(pair.followup, params))
-    return DiversityScore(pair.mr.id, metric, raw, diagnostics=diagnostics)
+    """``score_catalog`` on the one pair: a failure raises its "not applicable" message."""
+    return score_catalog([pair], metric, params)[0]
 
 
 def score_catalog(
@@ -111,7 +103,9 @@ def score_catalog(
     scores: list[DiversityScore] = []
     failures: list[str] = []
     try:
-        summarize, compare = _steps(metric)
+        if metric not in _TABLE:
+            raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
+        summarize, compare = _TABLE[metric]
         for pair in pairs:
             index = len(scores) + len(failures)
             try:

@@ -879,6 +879,17 @@ def test_negative_catalog_seed_cites_its_line(config_workspace, monkeypatch, cap
     assert capsys.readouterr().err == "error: neg.txt: line 1: seed must be >= 0, got -1\n"
 
 
+def test_numeric_class_labels_rank_by_rule(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "d.csv", "x,cls\n" + "".join(f"{i},{i % 2}\n" for i in range(12)))
+    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 drop remove_class label=0\n"
+                                "MR3 grow add_data_points count=3 seed=1\n")
+    assert main(["prioritize", "--dataset", "d.csv", "--class-column", "cls",
+                 "--catalog", "cat.txt", "--metric", "rule", "--out", "r.json"]) == 0
+    entries = read_json("r.json")["ranking"]["entries"]
+    assert sorted(e["mr_id"] for e in entries) == ["MR1", "MR2", "MR3"]
+
+
 def prioritize_argv(ws):
     return ["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
             "--catalog", ws["catalog"], "--metric", "distribution"]
@@ -907,12 +918,9 @@ INPUT_KINDS = {
 CSV_KINDS = ("dataset-csv", "kills", "times", "coverage")
 
 
-@pytest.mark.parametrize(
-    "kind, damage",
-    [(kind, "non-utf8") for kind in INPUT_KINDS] + [(kind, "long-field") for kind in CSV_KINDS],
-)
-def test_unreadable_input_exits_2_naming_the_file(config_workspace, monkeypatch, capsys,
-                                                  kind, damage):
+@pytest.fixture
+def input_workspace(config_workspace):
+    """config_workspace plus the files that only INPUT_KINDS reads."""
     ws = config_workspace
     d = ws["dir"]
     ws["arff"] = write(d / "labelled.arff", "@relation r\n@attribute x numeric\n"
@@ -920,8 +928,17 @@ def test_unreadable_input_exits_2_naming_the_file(config_workspace, monkeypatch,
     ws["ranking"] = write(d / "ranking.json", json.dumps(
         {"ranking": {"entries": [{"mr_id": "MR1", "rank": 1}, {"mr_id": "MR2", "rank": 2}]}}))
     ws["config"] = write(d / "config.json", json.dumps({"seed": 1}))
-    argv, path = INPUT_KINDS[kind](ws)
-    monkeypatch.chdir(d)
+    return ws
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [(kind, "non-utf8") for kind in INPUT_KINDS] + [(kind, "long-field") for kind in CSV_KINDS],
+)
+def test_unreadable_input_exits_2_naming_the_file(input_workspace, monkeypatch, capsys,
+                                                  kind, damage):
+    argv, path = INPUT_KINDS[kind](input_workspace)
+    monkeypatch.chdir(input_workspace["dir"])
     assert main([*argv, "--out", "o.json"]) == 0
     data = Path(path).read_bytes()
     if damage == "non-utf8":
@@ -932,6 +949,19 @@ def test_unreadable_input_exits_2_naming_the_file(config_workspace, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_leading_bom_is_skipped(input_workspace, monkeypatch, kind):
+    # Excel's "CSV UTF-8" export and Notepad start a file with a UTF-8 byte-order mark
+    argv, path = INPUT_KINDS[kind](input_workspace)
+    monkeypatch.chdir(input_workspace["dir"])
+    # the same --out both times: the output's header echoes it
+    assert main([*argv, "--out", "o.json"]) == 0
+    plain = Path("o.json").read_bytes()
+    Path(path).write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    assert main([*argv, "--out", "o.json"]) == 0
+    assert Path("o.json").read_bytes() == plain
 
 
 def test_overflowing_time_total_exits_2(tmp_path, capsys):

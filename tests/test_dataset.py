@@ -8,6 +8,8 @@ from mrprior import (
     Attribute,
     Dataset,
     InputError,
+    MrSpec,
+    apply_mr,
     load_arff,
     load_csv,
     numeric_view,
@@ -132,6 +134,44 @@ class TestCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(InputError, match="nope"):
             load_csv(str(p), class_column="nope")
+
+    def test_leading_bom_is_skipped(self, tmp_path):
+        text = "x,label\n1.5,yes\n?,no\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        d1 = load_csv(str(plain), class_column="x")
+        d2 = load_csv(str(bom), class_column="x")   # "x", not "\ufeffx"
+        assert [a.name for a in d2.attributes] == ["x", "label"]
+        assert d2.attributes == d1.attributes
+        assert rows(d2) == rows(d1)
+
+    @pytest.mark.parametrize("class_column", ["cls", 1])
+    def test_numeric_labels_make_a_nominal_class(self, tmp_path, class_column):
+        p = tmp_path / "t.csv"
+        p.write_text("x,cls\n0.5,1\n2,0\n3,?\n4,1\n")
+        d = load_csv(str(p), class_column=class_column)
+        assert d.attributes[0].is_numeric   # only the class column is made nominal
+        assert d.attributes[1].values == ("1", "0")   # first-appearance order
+        assert rows(d) == ((0.5, "1"), (2.0, "0"), (3.0, None), (4.0, "1"))
+
+    def test_class_column_without_labels_stays_numeric(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("x,cls\n1,?\n2,\n")
+        d = load_csv(str(p), class_column="cls")
+        assert d.attributes[1].is_numeric
+        assert d.class_index == 1
+
+    def test_numeric_labels_feed_the_class_transforms(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("x,cls\n" + "".join(f"{i},{i % 2}\n" for i in range(8)))
+        d = load_csv(str(p), class_column="cls")
+        dropped = apply_mr(MrSpec("MR1", "drop", "remove_class", {"label": 0}), d)
+        assert [r[1] for r in rows(dropped)] == ["1"] * 4
+        grown = apply_mr(MrSpec("MR2", "grow", "add_data_points", {"count": 3}, seed=1), d)
+        assert grown.n_rows == 11
+        assert {r[1] for r in rows(grown)} <= {"0", "1"}
 
     def test_nan_token_is_nominal(self, tmp_path):
         p = tmp_path / "t.csv"

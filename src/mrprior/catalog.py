@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import Attribute, Dataset, input_lines, parse_number
+from .dataset import Attribute, Dataset, input_lines, parse_number, read_only
 from .errors import ApplicabilityError, InputError
 
 # marker for pairs whose follow-up came from a file instead of a transform
@@ -250,7 +250,7 @@ def _t_affine_numeric(mr: MrSpec, source: Dataset) -> Dataset:
     # an overflow to inf is reported by the Dataset check, with its row
     with np.errstate(over="ignore"):
         for j in set(targets):
-            columns[j] = scale * columns[j] + shift
+            columns[j] = read_only(scale * columns[j] + shift)
     return replace(source, columns=tuple(columns))
 
 
@@ -273,7 +273,7 @@ def _insert_attribute(source: Dataset, attr: Attribute, column) -> Dataset:
         pos = len(source.attributes)
         class_index = None
     attributes = source.attributes[:pos] + (attr,) + source.attributes[pos:]
-    columns = source.columns[:pos] + (column,) + source.columns[pos:]
+    columns = source.columns[:pos] + (read_only(column),) + source.columns[pos:]
     return Dataset(source.name, attributes, columns, class_index)
 
 
@@ -341,9 +341,9 @@ def _t_remove_class(mr: MrSpec, source: Dataset) -> Dataset:
     attributes[class_index] = Attribute(class_attr.name, values)
     removed = class_attr.values.index(label)
     kept = np.flatnonzero(source.columns[class_index] != removed)
-    columns = [c[kept] for c in source.columns]
+    columns = [read_only(c[kept]) for c in source.columns]
     codes = columns[class_index]
-    columns[class_index] = codes - (codes > removed)
+    columns[class_index] = read_only(codes - (codes > removed))
     return Dataset(source.name, tuple(attributes), tuple(columns), class_index)
 
 
@@ -358,7 +358,7 @@ def _t_relabel_classes(mr: MrSpec, source: Dataset) -> Dataset:
     # a trailing -1 is what a missing label (code -1) picks
     lookup = np.array([class_attr.values.index(mapping[v]) for v in class_attr.values] + [-1])
     columns = list(source.columns)
-    columns[class_index] = lookup[columns[class_index]]
+    columns[class_index] = read_only(lookup[columns[class_index]])
     return replace(source, columns=tuple(columns))
 
 
@@ -384,7 +384,9 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
          for j, attr in enumerate(source.attributes)]
         for _ in range(count)
     ]
-    columns = tuple(np.concatenate([c, a]) for c, a in zip(source.columns, zip(*new_rows)))
+    columns = tuple(
+        read_only(np.concatenate([c, a])) for c, a in zip(source.columns, zip(*new_rows))
+    )
     return replace(source, columns=columns)
 
 

@@ -9,21 +9,36 @@ the ``repr`` of a float, the value text of a nominal code, or ``?`` when
 missing.  Every input file is read through one function, ``input_lines``:
 as UTF-8, with a leading byte-order mark skipped.  Every CSV input goes
 through one record reader, ``csv_records``, fed by it.
+
+Both readers stream their rows into one column builder, ``BLOCK_ROWS``
+records at a time.  A column fills a float64 buffer while its cells parse
+as numbers, or dictionary-encodes them into an int64 buffer of codes, and
+numpy takes the finished buffers without a copy.  So ``load_csv`` holds its
+columns plus one block of records, never every cell as a string, and
+infers kinds by the rules it always had (see its docstring).  A CSV column
+that has parsed as numbers and meets a non-number in a later block turns
+nominal; its earlier texts come back from a second read of the file, by
+path, for that column alone.  An input that cannot be read twice, such as
+a pipe, keeps each numeric column's texts (one string per block) instead.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ApplicabilityError, InputError
 
 MISSING_TOKENS = ("", "?")
+BLOCK_ROWS = 1024   # records a reader parses at a time, like anomaly.BLOCK_ELEMENTS
 
 
 def parse_number(text: str) -> float | None:
@@ -67,8 +82,10 @@ class Dataset:
     """Named attributes, one read-only column array per attribute.
 
     Numeric columns are float64 with NaN for a missing cell; nominal columns
-    are int64 codes into ``attr.values`` with -1 for a missing cell.  The
-    columns are copied on construction, so later changes to the arrays
+    are int64 codes into ``attr.values`` with -1 for a missing cell.  A
+    column passed in as a read-only array that views no writeable memory,
+    such as a reader's or a transform's (see ``read_only``), is shared;
+    any other array is copied.  Either way, later changes to the arrays
     passed in do not reach the dataset.
     """
 
@@ -90,11 +107,10 @@ class Dataset:
             raise InputError(
                 f"dataset {self.name!r}: {len(self.columns)} columns, expected {n_attrs}"
             )
-        columns = []
-        for attr, column in zip(self.attributes, self.columns):
-            array = np.array(column, dtype=np.float64 if attr.is_numeric else np.int64)
-            array.flags.writeable = False
-            columns.append(array)
+        columns = [
+            _owned_array(column, np.float64 if attr.is_numeric else np.int64)
+            for attr, column in zip(self.attributes, self.columns)
+        ]
         object.__setattr__(self, "columns", tuple(columns))
         lengths = sorted({len(c) for c in columns})
         if len(lengths) > 1:
@@ -136,7 +152,30 @@ class Dataset:
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The dataset made of the rows at the indices *rows*, in that order."""
-        return replace(self, columns=tuple(c[rows] for c in self.columns))
+        return replace(self, columns=tuple(read_only(c[rows]) for c in self.columns))
+
+
+def read_only(column: np.ndarray) -> np.ndarray:
+    """Mark a new *column* read-only, so that a Dataset shares it instead of copying it."""
+    column.flags.writeable = False
+    return column
+
+
+def _owned_array(column, dtype) -> np.ndarray:
+    """*column* as a read-only *dtype* array that no other array can write to.
+
+    An array made here (from a list, or by a dtype conversion) is kept, and
+    so is one that is read-only and views only read-only memory; any other
+    array is copied.
+    """
+    result = np.asarray(column, dtype=dtype)
+    if result is column or result.base is not None:
+        base = result
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if not (base is None or isinstance(base, memoryview) and base.readonly):
+            result = result.copy()
+    return read_only(result)
 
 
 def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int) -> int:
@@ -184,6 +223,81 @@ def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+class _Column:
+    """One column, built a block of cell texts at a time.
+
+    A numeric column fills ``numbers`` (NaN for a missing token); a nominal
+    one fills ``codes``, looked up in ``index``, which maps each value to
+    its code (declared or first-appearance order) and each missing token
+    to -1.
+    """
+
+    def __init__(self, missing: tuple[str, ...], numeric: bool, values: Sequence[str] = ()):
+        self.missing = missing
+        self.numbers = array("d") if numeric else None
+        self.codes = None if numeric else array("q")
+        self.index = {v: i for i, v in enumerate(values)} | dict.fromkeys(missing, -1)
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        return tuple(v for v, code in self.index.items() if code >= 0)
+
+    def add_numbers(self, texts: Sequence[str]) -> bool:
+        """Append *texts* as numbers; append nothing and return False if one is no number."""
+        values = _parse_numbers(texts, self.missing)
+        if values is None:
+            return False
+        self.numbers.extend(values)
+        return True
+
+    def add_codes(self, texts: Sequence[str], grow: bool = True) -> bool:
+        """Append the codes of *texts*, a new value taking the next code when
+        the value-set may *grow*; otherwise append nothing and return False
+        if a text is outside it."""
+        index = self.index
+        if grow:
+            # codes count the values, which follow the missing tokens in index
+            offset = len(self.missing)
+            codes = [index.setdefault(t, len(index) - offset) for t in texts]
+        else:
+            codes = [index.get(t, -2) for t in texts]
+            if -2 in codes:
+                return False
+        self.codes.extend(codes)
+        return True
+
+    def to_nominal(self, earlier: Iterable[Sequence[str]]) -> None:
+        """Turn a numeric column nominal, given its texts so far, block by block."""
+        self.numbers, self.codes = None, array("q")
+        for texts in earlier:
+            self.add_codes(texts)
+
+    def finish(self) -> np.ndarray:
+        """The column as a read-only array over its buffer, which is not copied."""
+        if self.codes is None:
+            return np.frombuffer(memoryview(self.numbers).toreadonly(), np.float64)
+        return np.frombuffer(memoryview(self.codes).toreadonly(), np.int64)
+
+
+def _parse_numbers(texts: Sequence[str], missing: tuple[str, ...]) -> array | None:
+    """*texts* as float64, NaN for a missing token, or None if a text is no finite number."""
+    try:
+        values = array("d", map(float, texts))
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(np.frombuffer(values)).all():
+            return values
+    # a missing, non-finite or non-numeric cell: parse cell by cell
+    values = array("d")
+    for text in texts:
+        value = math.nan if text in missing else parse_number(text)
+        if value is None:
+            return None
+        values.append(value)
+    return values
+
+
 def load_csv(
     path: str,
     header: bool = True,
@@ -196,62 +310,99 @@ def load_csv(
     cell parses as a finite number.  A nominal column has the observed values
     (first-appearance order) as its value-set.  Without a header row,
     columns are named ``c0``, ``c1``, ...
+
+    The file is parsed ``BLOCK_ROWS`` records at a time into typed columns,
+    so the load holds the columns and one block of records.  A column that
+    turns nominal after its first block reads its earlier texts again from
+    *path*; an input that is no regular file, such as a pipe, cannot be read
+    twice and keeps its numeric columns' texts while it streams.
     """
-    records: list[list[str]] = []
-    ragged = None   # (file line, field count) of the first record unlike the first one
-    first = 1       # the file line the first record starts on
-    for line, record in csv_records(path):
-        if not records:
-            first = line
-        elif ragged is None and len(record) != len(records[0]):
-            ragged = (line, len(record))
-        records.append(record)
-    if not records:
+    records = csv_records(path)
+    first_line, first = next(records, (0, None))
+    if first is None:
         raise InputError(f"{path}: empty file")
+    n_cols = len(first)
+    names = [cell.strip() for cell in first] if header else [f"c{i}" for i in range(n_cols)]
+    class_index = class_error = None
+    if class_column is not None:
+        try:
+            class_index = _resolve_column(path, names, class_column)
+        except InputError as exc:
+            class_error = exc
+    columns = [_Column(MISSING_TOKENS, numeric=j != class_index) for j in range(n_cols)]
+    # kept[j]: column j's texts while it is numeric, one string per block
+    kept = None if os.path.isfile(path) else [[] for _ in range(n_cols)]
 
-    if header:
-        names = [cell.strip() for cell in records[0]]
-        if "" in names:
-            raise InputError(f"{path}: line {first}: column {names.index('') + 1} has an empty name")
-        if len(set(names)) != len(names):
-            raise InputError(f"{path}: duplicate column names in header")
-        body = records[1:]
-    else:
-        names = [f"c{i}" for i in range(len(records[0]))]
-        body = records
+    def add_block(block: list[list[str]]) -> None:
+        for j, (column, cells) in enumerate(zip(columns, zip(*block))):
+            texts = list(map(str.strip, cells))
+            if column.codes is None:
+                if column.add_numbers(texts):
+                    if kept is not None:
+                        kept[j].append("\n".join(texts))
+                    continue
+                if kept is None:
+                    column.to_nominal(_reread_texts(path, header, j, column.numbers))
+                else:
+                    # a stripped text that parsed as a number holds no newline
+                    column.to_nominal(joined.split("\n") for joined in kept[j])
+                    kept[j] = []
+            column.add_codes(texts)
 
-    n_cols = len(names)
-    if ragged is not None:
-        raise InputError(f"{path}: line {ragged[0]}: expected {n_cols} fields, got {ragged[1]}")
+    # the errors wait until the stream is drained: an unreadable line anywhere wins
+    try:
+        if header:
+            if "" in names:
+                raise InputError(
+                    f"{path}: line {first_line}: column {names.index('') + 1} has an empty name"
+                )
+            if len(set(names)) != len(names):
+                raise InputError(f"{path}: duplicate column names in header")
+        block = [] if header else [first]
+        for line, record in records:
+            if len(record) != n_cols:
+                raise InputError(
+                    f"{path}: line {line}: expected {n_cols} fields, got {len(record)}"
+                )
+            block.append(record)
+            if len(block) >= BLOCK_ROWS:
+                add_block(block)
+                block = []
+        add_block(block)
+    except InputError:
+        for _ in records:
+            pass
+        raise
+    if class_error is not None:
+        raise class_error
 
-    class_index = None if class_column is None else _resolve_column(path, names, class_column)
     attributes = []
-    columns = []
-    for j, (col_name, raw) in enumerate(zip(names, list(zip(*body)) or [()] * n_cols)):
-        texts = [None if (t := cell.strip()) in MISSING_TOKENS else t for cell in raw]
-        # texts holds None or non-empty strings, so any() asks for an observed label
-        numbers = None if j == class_index and any(texts) else _numeric_column(texts)
-        if numbers is not None:
-            # an all-missing column is numeric too: there is nothing to enumerate
-            attributes.append(Attribute(col_name))
-            columns.append(numbers)
-        else:
-            value_set = tuple(dict.fromkeys(t for t in texts if t is not None))
-            codes = {v: i for i, v in enumerate(value_set)}
-            attributes.append(Attribute(col_name, value_set))
-            columns.append([-1 if t is None else codes[t] for t in texts])
-    return Dataset(path, tuple(attributes), tuple(columns), class_index)
+    for name, column in zip(names, columns):
+        values = column.values
+        if column.codes is not None and not values:
+            # a class column without a label is numeric: there is nothing to enumerate
+            column.numbers, column.codes = array("d", [math.nan]) * len(column.codes), None
+        attributes.append(Attribute(name, values if column.codes is not None else None))
+    return Dataset(path, tuple(attributes), tuple(c.finish() for c in columns), class_index)
 
 
-def _numeric_column(texts: list[str | None]) -> list[float] | None:
-    """Finite values of *texts* (NaN for None), or None at the first non-number."""
-    numbers = []
-    for text in texts:
-        value = math.nan if text is None else parse_number(text)
-        if value is None:
-            return None
-        numbers.append(value)
-    return numbers
+def _reread_texts(path: str, header: bool, j: int, numbers: array) -> Iterator[list[str]]:
+    """Column *j*'s texts of the rows *numbers* holds, from a second read of
+    *path*, a block at a time.
+
+    Texts that no longer parse to *numbers* mean that the file changed
+    between the reads, which raises InputError.
+    """
+    records = csv_records(path)
+    if header:
+        next(records, None)
+    for start in range(0, len(numbers), BLOCK_ROWS):
+        block = islice(records, min(BLOCK_ROWS, len(numbers) - start))
+        texts = [record[j].strip() for _, record in block if j < len(record)]
+        values = _parse_numbers(texts, MISSING_TOKENS)
+        if values is None or values.tobytes() != numbers[start:start + BLOCK_ROWS].tobytes():
+            raise InputError(f"{path}: changed while it was read")
+        yield texts
 
 
 def _column_texts(dataset: Dataset) -> Iterator[list[str]]:
@@ -306,39 +457,13 @@ def load_arff(
     attribute becomes the class; pass ``class_column=None`` for no class or a
     name/index to override.
     """
-    lines = list(input_lines(path))
-    relation = None
-    attributes: list[Attribute] = []
-    rows: list[list] = []
-    in_data = False
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        lowered = line.lower()
-
-        if not in_data:
-            if lowered.startswith("@relation"):
-                if relation is not None:
-                    raise InputError(f"{path}: line {lineno}: duplicate @relation")
-                relation = _unquote(line[len("@relation"):].strip()) or path
-            elif lowered.startswith("@attribute"):
-                attributes.append(_parse_arff_attribute(path, lineno, line))
-            elif lowered.startswith("@data"):
-                if not attributes:
-                    raise InputError(f"{path}: line {lineno}: @data before any @attribute")
-                in_data = True
-            else:
-                raise InputError(f"{path}: line {lineno}: unrecognized declaration {line!r}")
-            continue
-
-        if line.startswith("{"):
-            raise InputError(f"{path}: line {lineno}: sparse data rows are not supported")
-        rows.append(_parse_arff_row(path, lineno, line, attributes))
-
-    if not in_data:
-        raise InputError(f"{path}: missing @data section")
+    lines = enumerate(input_lines(path), start=1)
+    try:
+        relation, attributes, columns = _read_arff(path, lines)
+    except InputError:
+        for _ in lines:   # an unreadable line later in the file is the error to report
+            pass
+        raise
 
     names = [a.name for a in attributes]
     if class_column == "last":
@@ -349,8 +474,86 @@ def load_arff(
         class_index = _resolve_column(path, names, class_column)
 
     ds_name = relation if relation else path
-    columns = tuple(zip(*rows)) or ((),) * len(attributes)
-    return Dataset(ds_name, tuple(attributes), columns, class_index)
+    return Dataset(ds_name, tuple(attributes), tuple(c.finish() for c in columns), class_index)
+
+
+def _read_arff(
+    path: str, lines: Iterator[tuple[int, str]]
+) -> tuple[str | None, list[Attribute], list[_Column]]:
+    """The relation name, attributes and filled columns of numbered ARFF lines."""
+    relation = None
+    attributes: list[Attribute] = []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        lowered = line.lower()
+        if lowered.startswith("@relation"):
+            if relation is not None:
+                raise InputError(f"{path}: line {lineno}: duplicate @relation")
+            relation = _unquote(line[len("@relation"):].strip()) or path
+        elif lowered.startswith("@attribute"):
+            attributes.append(_parse_arff_attribute(path, lineno, line))
+        elif lowered.startswith("@data"):
+            if not attributes:
+                raise InputError(f"{path}: line {lineno}: @data before any @attribute")
+            break
+        else:
+            raise InputError(f"{path}: line {lineno}: unrecognized declaration {line!r}")
+    else:
+        raise InputError(f"{path}: missing @data section")
+
+    columns = [_Column(("?",), a.is_numeric, a.values or ()) for a in attributes]
+    block: list[tuple[int, list[str]]] = []   # (line number, fields) of each data line
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        try:
+            if line.startswith("{"):
+                raise InputError(f"{path}: line {lineno}: sparse data rows are not supported")
+            fields = [_unquote(f) for f in _split_csv_line(path, lineno, line)]
+            if len(fields) != len(attributes):
+                raise InputError(
+                    f"{path}: line {lineno}: expected {len(attributes)} values, got {len(fields)}"
+                )
+        except InputError:
+            _add_arff_block(path, attributes, columns, block)   # an earlier bad cell comes first
+            raise
+        block.append((lineno, fields))
+        if len(block) >= BLOCK_ROWS:
+            _add_arff_block(path, attributes, columns, block)
+            block = []
+    _add_arff_block(path, attributes, columns, block)
+    return relation, attributes, columns
+
+
+def _add_arff_block(
+    path: str, attributes: list[Attribute], columns: list[_Column],
+    block: list[tuple[int, list[str]]],
+) -> None:
+    """Append ARFF data lines to their columns; the first cell, in file order,
+    that its attribute's declared type rejects raises InputError."""
+    rejected = []   # (row in block, attribute index) of each column's first rejected cell
+    cells = zip(*(fields for _, fields in block))
+    for j, (attr, column, texts) in enumerate(zip(attributes, columns, cells)):
+        if attr.is_numeric and not column.add_numbers(texts):
+            row = next(i for i, t in enumerate(texts)
+                       if t not in column.missing and parse_number(t) is None)
+            rejected.append((row, j))
+        elif not attr.is_numeric and not column.add_codes(texts, grow=False):
+            rejected.append((next(i for i, t in enumerate(texts) if t not in column.index), j))
+    if not rejected:
+        return
+    row, j = min(rejected)
+    lineno, token, attr = block[row][0], block[row][1][j], attributes[j]
+    if attr.is_numeric:
+        raise InputError(
+            f"{path}: line {lineno}: attribute {attr.name!r} expects a number, got {token!r}"
+        )
+    raise InputError(
+        f"{path}: line {lineno}: value {token!r} not in value-set of attribute {attr.name!r}"
+    )
 
 
 def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
@@ -376,35 +579,6 @@ def _parse_arff_attribute(path: str, lineno: int, line: str) -> Attribute:
         f"{path}: line {lineno}: unsupported attribute type {type_spec!r} "
         f"(only 'numeric' and nominal value-sets are accepted)"
     )
-
-
-def _parse_arff_row(path: str, lineno: int, line: str, attributes: list[Attribute]) -> list:
-    """Column cells of one data line: floats (NaN missing) or codes (-1 missing)."""
-    fields = [_unquote(f) for f in _split_csv_line(path, lineno, line)]
-    if len(fields) != len(attributes):
-        raise InputError(
-            f"{path}: line {lineno}: expected {len(attributes)} values, got {len(fields)}"
-        )
-    typed = []
-    for attr, token in zip(attributes, fields):
-        if token == "?":
-            typed.append(math.nan if attr.is_numeric else -1)
-        elif attr.is_numeric:
-            value = parse_number(token)
-            if value is None:
-                raise InputError(
-                    f"{path}: line {lineno}: attribute {attr.name!r} expects a number, "
-                    f"got {token!r}"
-                )
-            typed.append(value)
-        else:
-            if token not in attr.values:
-                raise InputError(
-                    f"{path}: line {lineno}: value {token!r} not in value-set of "
-                    f"attribute {attr.name!r}"
-                )
-            typed.append(attr.values.index(token))
-    return typed
 
 
 def _arff_quote(name: str) -> str:

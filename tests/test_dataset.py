@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mrprior import dataset
 from mrprior import (
     ApplicabilityError,
     Attribute,
@@ -67,6 +69,23 @@ class TestDatasetModel:
         codes[1] = 0
         assert rows(d) == ((1.0, "b"), (None, None))
 
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        x = np.array([1.0, 2.0])
+        view = x[:]
+        view.flags.writeable = False
+        d = Dataset("d", (Attribute("x"),), (view,), None)
+        assert not np.shares_memory(d.columns[0], x)
+        x[0] = 5.0
+        assert rows(d) == ((1.0,), (2.0,))
+
+    def test_read_only_arrays_are_shared(self):
+        x = np.array([1.0, 2.0])
+        x.flags.writeable = False
+        d = Dataset("d", (Attribute("x"),), (x,), None)
+        assert d.columns[0] is x
+        shuffled = apply_mr(MrSpec("MR1", "swap", "permute_attributes", {"perm": "0"}), d)
+        assert shuffled.columns[0] is x
+
 
 class TestCsv:
     def test_kind_inference(self, tmp_path):
@@ -128,6 +147,41 @@ class TestCsv:
         with pytest.raises(InputError) as exc:
             load_csv(str(p))
         assert str(exc.value) == f"{p}: line {line}: column {column} has an empty name"
+
+    @pytest.mark.parametrize("head, class_column", [
+        ("a,,c\n", None),
+        ("a,a,c\n", None),
+        ("a,b,c\n1,2\n", None),
+        ("a,b,c\n", "nope"),
+    ], ids=["empty-name", "duplicate-name", "ragged", "class-column"])
+    def test_an_unreadable_line_later_in_the_file_wins(self, tmp_path, head, class_column):
+        # far past the first chunk the reader decodes, and past several blocks
+        p = tmp_path / "t.csv"
+        p.write_bytes(head.encode() + b"1,2,3\n" * 20_000 + b"4,\xff,6\n")
+        with pytest.raises(InputError, match=f"^cannot read {p}: 'utf-8' codec"):
+            load_csv(str(p), class_column=class_column)
+
+    @pytest.mark.parametrize("cells", [
+        lambda rng, n: [repr(v) for v in rng.normal(0, 1e3, n).tolist()],
+        lambda rng, n: [str(v) for v in rng.integers(-99, 99, n).tolist()],
+    ], ids=["floats", "integers"])
+    def test_memory_is_the_columns_and_one_block(self, tmp_path, cells):
+        rng = np.random.default_rng(4)
+        n_rows, n_cols = 20_000, 5
+        columns = [cells(rng, n_rows) for _ in range(n_cols)]
+        p = tmp_path / "t.csv"
+        p.write_text(",".join(f"x{j}" for j in range(n_cols)) + "\n"
+                     + "".join(",".join(r) + "\n" for r in zip(*columns)))
+        del columns
+        tracemalloc.start()
+        try:
+            d = load_csv(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(c.nbytes for c in d.columns)
+        assert all(a.is_numeric for a in d.attributes) and nbytes == n_rows * n_cols * 8
+        assert peak < 3 * nbytes
 
     def test_unknown_class_column(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -277,6 +331,30 @@ class TestArff:
         p = tmp_path / "t.arff"
         p.write_text("@relation r\n@attribute a numeric\n" + text)
         with pytest.raises(InputError, match=f"line {line}: field larger than field limit"):
+            load_arff(str(p))
+
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    @pytest.mark.parametrize("data, line", [
+        ("1,a\n2,z\n3\n", 6),      # a bad value before a short line
+        ("1,a\nx,z\n", 6),          # two bad cells on one line: the first column's
+        ("1,a\n2,a\n3,z\nx,a\n", 7),  # a later line's bad cell in an earlier column
+        ("1,a\n2,a\n3,a\n4\n5,z\n", 8),
+    ])
+    def test_first_bad_line_is_reported(self, tmp_path, monkeypatch, block_rows, data, line):
+        monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
+        p = tmp_path / "t.arff"
+        p.write_text("@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n" + data)
+        with pytest.raises(InputError, match=f"^{p}: line {line}: "):
+            load_arff(str(p))
+
+    @pytest.mark.parametrize("head", [
+        "@attribute s string\n@data\n", "@data\n1,z\n", "@data\n1,a,3\n",
+    ], ids=["declaration", "value", "arity"])
+    def test_an_unreadable_line_later_in_the_file_wins(self, tmp_path, head):
+        p = tmp_path / "t.arff"
+        p.write_bytes(b"@relation r\n@attribute x numeric\n@attribute c {a,b}\n"
+                      + head.encode() + b"1,a\n" * 20_000 + b"\xff,b\n")
+        with pytest.raises(InputError, match=f"^cannot read {p}: 'utf-8' codec"):
             load_arff(str(p))
 
     def test_missing_data_section(self, tmp_path):

@@ -2,9 +2,16 @@
 
 Rows are sorted lexicographically before seeding so the run is a pure
 function of the multiset of row contents: permuting the input rows cannot
-change the outcome.  Seeding is k-means++; Lloyd iterations run to an
-assignment fixpoint or ``max_iters``.  A cluster left empty by an update is
-re-seeded to the point farthest from its currently assigned centroid.
+change the outcome.  The order is exactly ``np.lexsort``'s over the
+columns, found by sorting column 0 and lexsorting only its ties.  Seeding
+is k-means++; Lloyd iterations run to an assignment fixpoint or
+``max_iters``.  A cluster left empty by an update is re-seeded to the point
+farthest from its currently assigned centroid.
+
+Every squared distance equals ``((p - c)**2).sum(-1)`` bit for bit: the
+d squares are added in the fixed order of numpy's pairwise summation of a
+contiguous axis (the same in numpy 2.0 to 2.4), but for all points and
+centroids at once, in place, in one reused buffer.
 """
 
 from __future__ import annotations
@@ -31,18 +38,86 @@ class ClusterSummary(Record):
     objective_trace: tuple[float, ...] = field(metadata={"export": False})
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    deltas = points[:, None, :] - centroids[None, :, :]
-    return (deltas**2).sum(axis=-1)
+def _canonical_order(matrix: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(matrix.T[::-1])``: by column 0, then 1, ...
+
+    A stable sort of column 0 places every row whose first value is unique;
+    only the runs of tied first values (NaN ties NaN, as in numpy's sort) are
+    lexsorted on the remaining columns, keyed first by their run so that each
+    run stays where it is.
+    """
+    order = np.argsort(matrix[:, 0], kind="stable")
+    first = matrix[order, 0]
+    nan = np.isnan(first)
+    tied = (first[1:] == first[:-1]) | (nan[1:] & nan[:-1])
+    if not tied.any():
+        return order
+    run = np.cumsum(np.concatenate(([True], ~tied)))
+    in_run = np.zeros(len(order), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    at = np.flatnonzero(in_run)
+    rows = order[at]
+    order[at] = rows[np.lexsort((*matrix[rows, :0:-1].T, run[at]))]
+    return order
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sum_rows(a: np.ndarray) -> None:
+    """Sum ``a`` over axis 1 into ``a[:, 0]``, in place, adding exactly as
+    ``np.add.reduce`` adds a contiguous axis (pairwise, in blocks of 128 with
+    eight running sums).  numpy also adds the total to 0.0, which changes
+    nothing here: a sum of squares is never -0.0."""
+    d = a.shape[1]
+    if d < 8:
+        for i in range(1, d):
+            a[:, 0] += a[:, i]
+    elif d <= 128:
+        tail = d - d % 8
+        for i in range(8, tail, 8):
+            a[:, :8] += a[:, i:i + 8]
+        a[:, 0:8:2] += a[:, 1:8:2]      # r0+r1, r2+r3, r4+r5, r6+r7
+        a[:, 0:8:4] += a[:, 2:8:4]      # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
+        a[:, 0] += a[:, 4]
+        for i in range(tail, d):
+            a[:, 0] += a[:, i]
+    else:
+        half = d // 2 - d // 2 % 8
+        _sum_rows(a[:, :half])
+        _sum_rows(a[:, half:])
+        a[:, 0] += a[:, half]
+
+
+def _sq_distances(cols: np.ndarray, centroids: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distances, (n points, k centroids), as a view into ``buf``.
+
+    ``cols`` holds the points column by column (d, n), ``buf`` is a (>= k, d,
+    n) scratch array.  Each difference is squared and the d squares of a pair
+    are added in numpy's own order, so the result equals
+    ``((points[:, None] - centroids[None]) ** 2).sum(-1)`` bit for bit.
+    """
+    out = buf[: len(centroids)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(cols[None], centroids[:, :, None], out=out)
+        np.multiply(out, out, out=out)
+        _sum_rows(out)
+    return out[:, 0].T
+
+
+def _seed_centroids(
+    points: np.ndarray, k: int, rng: np.random.Generator, cols: np.ndarray, buf: np.ndarray
+) -> np.ndarray:
     """Standard k-means++ D^2 sampling over the (already sorted) rows."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)    # squared distance to the nearest chosen point
     while len(chosen) < k:
-        d2 = _sq_distances(points, points[chosen]).min(axis=1)
+        np.minimum(d2, _sq_distances(cols, points[chosen[-1:]], buf)[:, 0], out=d2)
         total = d2.sum()
+        if not np.isfinite(total):
+            raise ApplicabilityError(
+                "k-means++ seeding: squared distances overflow float64 "
+                "(standardize the features or rescale them)"
+            )
         if total == 0.0:
             chosen.append(int(rng.integers(n)))
             continue
@@ -61,17 +136,18 @@ def kmeans_summary(
     if n < k:
         raise ApplicabilityError(f"need at least k={k} rows, got {n}")
 
-    # canonical order: lexicographic by feature 0, then 1, ...
-    points = view.matrix[np.lexsort(view.matrix.T[::-1])]
+    points = view.matrix[_canonical_order(view.matrix)]
+    cols = np.ascontiguousarray(points.T)
+    buf = np.empty((k, *cols.shape))
     rng = np.random.default_rng(seed)
-    centroids = _seed_centroids(points, k, rng)
+    centroids = _seed_centroids(points, k, rng, cols, buf)
 
     assignment = None
     trace: list[float] = []
     iters = 0
     for _ in range(max_iters):
         iters += 1
-        d2 = _sq_distances(points, centroids)
+        d2 = _sq_distances(cols, centroids, buf)
         new_assignment = d2.argmin(axis=1)
         trace.append(float(d2[np.arange(n), new_assignment].sum()))
         if assignment is not None and np.array_equal(new_assignment, assignment):
@@ -87,13 +163,13 @@ def kmeans_summary(
             if (assignment == c).any():
                 continue
             # farthest point from its own centroid takes over the empty slot
-            dist_own = np.sqrt(_sq_distances(points, centroids)[np.arange(n), assignment])
+            dist_own = np.sqrt(_sq_distances(cols, centroids, buf)[np.arange(n), assignment])
             dist_own[used] = -np.inf
             far = int(dist_own.argmax())
             centroids[c] = points[far]
             used[far] = True
 
-    d2 = _sq_distances(points, centroids)
+    d2 = _sq_distances(cols, centroids, buf)
     assignment = d2.argmin(axis=1)
     sizes = np.bincount(assignment, minlength=k)
     if int(sizes.sum()) != n:

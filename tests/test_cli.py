@@ -1004,3 +1004,23 @@ def test_huge_arff_field_exits_2_naming_the_line(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: d.arff: line 6: field larger than field limit (131072)\n")
+
+
+def test_overflowing_kmeans_seeding_exits_3(tmp_path, monkeypatch, capsys):
+    # every column stays small enough for its own variance, but a squared
+    # distance sums nine columns and overflows: k-means++ has no finite
+    # probabilities to draw from
+    monkeypatch.chdir(tmp_path)
+    rows = ["5e153"] * 9, ["-5e153"] * 9, *([str(i % 4)] * 9 for i in range(18))
+    write(tmp_path / "d.csv", "".join(",".join(r) + "\n" for r in
+                                      [[f"x{j}" for j in range(9)], *rows]))
+    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
+    rc = main(["prioritize", "--dataset", "d.csv", "--catalog", "cat.txt",
+               "--metric", "clustering", "--no-standardize", "--out", "r.json"])
+    assert rc == 3
+    reason = "k-means++ seeding: squared distances overflow float64 " \
+             "(standardize the features or rescale them)"
+    assert capsys.readouterr().err == (
+        "not applicable: metric 'clustering' not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"
+    )

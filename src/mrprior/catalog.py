@@ -18,6 +18,7 @@ pure function of (transform, params, seed, source dataset).
 
 from __future__ import annotations
 
+import copy
 import math
 import shlex
 from dataclasses import dataclass, field, replace
@@ -25,8 +26,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import Attribute, Dataset, input_lines, parse_number, read_only
+from .dataset import Attribute, Dataset, parse_number, read_only
 from .errors import ApplicabilityError, InputError
+from .inputs import input_lines
 
 # marker for pairs whose follow-up came from a file instead of a transform
 EXTERNAL = "external"
@@ -179,7 +181,11 @@ def apply_mr(mr: MrSpec, source: Dataset) -> Dataset:
     if mr.transform == EXTERNAL:
         raise ApplicabilityError(f"MR {mr.id}: external follow-ups cannot be recomputed")
     handler = TRANSFORMS[mr.transform][0]
-    return replace(handler(mr, source), name=f"{source.name}#{mr.id}")
+    # the handler's dataset is already validated: a shallow copy takes the
+    # name without a second validation, and a source returned as is stays as is
+    followup = copy.copy(handler(mr, source))
+    object.__setattr__(followup, "name", f"{source.name}#{mr.id}")
+    return followup
 
 
 def _rng(mr: MrSpec) -> np.random.Generator:

@@ -15,6 +15,10 @@ Every output file records the resolved master seed: JSON outputs carry it in
 their "header" object, with every resolved, typed option; CSV outputs carry
 it in a leading ``#`` comment line.  Reruns with identical inputs and options
 produce byte-identical files.
+
+Each subcommand imports the modules it runs when it runs: at module level
+this file loads only what the parser needs, so ``evaluate`` never loads the
+dataset layer or a metric, and ``prioritize`` loads only its metric.
 """
 
 from __future__ import annotations
@@ -24,26 +28,15 @@ import json
 import os
 import sys
 from dataclasses import fields
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import build_pairs, load_catalog, pair_from_files
-from .dataset import Dataset, input_lines, load_arff, load_csv
 from .errors import ApplicabilityError, InputError, InvariantError, MrPriorError
-from .evaluation import (
-    DEFAULT_THRESHOLDS,
-    coverage_greedy,
-    evaluate_ordering,
-    load_coverage_matrix,
-    load_kill_matrix,
-    permutation_test,
-    random_baseline,
-    relative_improvement,
-    report_from_dict,
-    save_kill_matrix,
-    synth_kill_matrix,
-)
+# the parser's metric names and defaults; score_catalog comes from the same module
 from .metrics import METRICS, MetricParams, score_catalog
-from .prioritizer import normalize, rank, top_n
+
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 DEFAULT_SEED = MetricParams.seed
 
@@ -53,6 +46,8 @@ DEFAULT_SEED = MetricParams.seed
 # ---------------------------------------------------------------------------
 
 def _read_json(path: str, kind: str = ""):
+    from .inputs import input_lines
+
     text = "".join(input_lines(path, kind))
     try:
         return json.loads(text)
@@ -128,6 +123,8 @@ def _header(command: str, args: argparse.Namespace) -> dict:
 
 
 def _load_dataset(path: str, fmt: str | None, header: bool, class_column) -> Dataset:
+    from .dataset import load_arff, load_csv
+
     if fmt is None:
         fmt = "arff" if path.lower().endswith(".arff") else "csv"
     if fmt == "arff":
@@ -146,6 +143,9 @@ def _parse_class_column(text: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_prioritize(args: argparse.Namespace) -> int:
+    from .catalog import build_pairs, load_catalog, pair_from_files
+    from .prioritizer import normalize, rank, top_n
+
     if not args.dataset:
         raise InputError("prioritize needs --dataset")
     if not args.metric:
@@ -224,7 +224,21 @@ def _read_ordering(args: argparse.Namespace) -> list[str]:
     return ordering
 
 
+def _default_thresholds(args: argparse.Namespace) -> None:
+    """Fill in --thresholds, when it was not given, before the header echoes it.
+
+    Its default is the evaluation module's, which the parser does not import.
+    """
+    from .evaluation import DEFAULT_THRESHOLDS
+
+    if args.thresholds is None:
+        args.thresholds = list(DEFAULT_THRESHOLDS)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_ordering, load_kill_matrix
+
+    _default_thresholds(args)
     if not args.kills or not args.times:
         raise InputError("evaluate needs --kills and --times")
     ordering = _read_ordering(args)
@@ -239,6 +253,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        coverage_greedy,
+        load_coverage_matrix,
+        load_kill_matrix,
+        random_baseline,
+    )
+
+    _default_thresholds(args)
     if args.mode == "random":
         if not args.kills or not args.times:
             raise InputError("baseline random needs --kills and --times")
@@ -269,6 +291,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _load_report(path: str):
+    from .evaluation import report_from_dict
+
     data = _read_json(path)
     if not isinstance(data, dict) or "report" not in data:
         raise InputError(f"{path}: not an evaluation report file")
@@ -276,6 +300,8 @@ def _load_report(path: str):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .evaluation import permutation_test, relative_improvement
+
     if not args.treatment or not args.baseline:
         raise InputError("compare needs --treatment and --baseline")
     if not 0 < args.alpha <= 1:
@@ -346,6 +372,8 @@ def _parse_time_spec(text: str, n: int):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .evaluation import save_kill_matrix, synth_kill_matrix
+
     if args.mrs is None or args.mutants is None:
         raise InputError("synth needs --mrs and --mutants")
     km = synth_kill_matrix(
@@ -403,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-standardize", action="store_false", dest="standardize",
                    default=m.standardize)
 
-    thresholds = {"type": float, "nargs": "+", "default": list(DEFAULT_THRESHOLDS)}
+    thresholds = {"type": float, "nargs": "+"}   # default: see _default_thresholds
     p = command("evaluate", cmd_evaluate, "evaluate one ordering against a kill matrix")
     p.add_argument("--ranking")
     p.add_argument("--order")

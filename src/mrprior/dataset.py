@@ -6,9 +6,9 @@ value-set for a nominal one (-1 marks a missing cell).  Datasets are
 immutable after construction and validated once, a whole column at a time.
 Readers build the columns and writers format them: a column's cells are
 the ``repr`` of a float, the value text of a nominal code, or ``?`` when
-missing.  Every input file is read through one function, ``input_lines``:
-as UTF-8, with a leading byte-order mark skipped.  Every CSV input goes
-through one record reader, ``csv_records``, fed by it.
+missing.  Every input file is read through ``inputs.input_lines``: as
+UTF-8, with a leading byte-order mark skipped.  Every CSV input goes
+through one record reader, ``inputs.csv_records``, fed by it.
 
 Both readers stream their rows into one column builder, ``BLOCK_ROWS``
 records at a time.  A column fills a float64 buffer while its cells parse
@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ApplicabilityError, InputError
+from .inputs import csv_records, input_lines
 
 MISSING_TOKENS = ("", "?")
 BLOCK_ROWS = 1024   # records a reader parses at a time, like anomaly.BLOCK_ELEMENTS
@@ -189,39 +190,9 @@ def _resolve_column(dataset_name: str, names: Sequence[str], selector: str | int
         raise InputError(f"{dataset_name}: no column named {selector!r}") from None
 
 
-def input_lines(path: str, what: str = "") -> Iterator[str]:
-    """The lines of a UTF-8 text file, line endings kept, a leading BOM dropped.
-
-    The one place an input file is opened.  A file that cannot be opened or
-    decoded raises ``InputError("cannot read {what}{path}: ...")``.
-    """
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            yield from fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {what}{path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
-
-def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
-    """The non-blank records of a CSV file, each with the file line it starts on.
-
-    A file that cannot be read (see ``input_lines``) or parsed as CSV raises
-    InputError.
-    """
-    reader = csv.reader(input_lines(path))
-    start = 1   # the file line the next record starts on
-    try:
-        for record in reader:
-            if record:   # a blank line is no record
-                yield start, record
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
 
 class _Column:
     """One column, built a block of cell texts at a time.
@@ -636,7 +607,10 @@ def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     if observed.size == 0:
         return None
     mean = _ordered_stat(observed, np.mean)
-    std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
+    # squares of cells near 1e200 overflow to inf, which numeric_view rejects
+    # when it standardizes; nothing else reads the spread
+    with np.errstate(over="ignore"):
+        std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
     return np.where(missing, mean, column), mean, std
 
 
@@ -644,7 +618,9 @@ def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
     """Column-mean-imputed matrix of the numeric non-class attributes.
 
     Standardization divides by the population standard deviation; constant
-    columns are kept unscaled and flagged in ``constant_mask``.
+    columns are kept unscaled and flagged in ``constant_mask``.  A column
+    whose standard deviation overflows cannot be standardized and raises
+    ApplicabilityError.
     """
     indices = dataset.numeric_indices()
     if not indices:
@@ -663,6 +639,11 @@ def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
                 f"has no observed values"
             )
         raw[:, j], means[j], stds[j] = imputed
+        if standardize and not math.isfinite(stds[j]):
+            raise ApplicabilityError(
+                f"dataset {dataset.name!r}: attribute {dataset.attributes[i].name!r} "
+                f"has a standard deviation that overflows float64 (rescale it)"
+            )
     constant = stds == 0.0
 
     matrix = raw

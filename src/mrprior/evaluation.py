@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import csv_records
 from .errors import ApplicabilityError, InputError, InvariantError
+from .inputs import csv_records
 from .records import Record
 
 DEFAULT_THRESHOLDS = (5.0, 2.5)

@@ -14,17 +14,14 @@ source summary with the follow-up summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from importlib import import_module
+from typing import TYPE_CHECKING, Iterable
 
-from ..catalog import MrPair
-from ..dataset import numeric_view
 from ..errors import ApplicabilityError, MrPriorError
 from ..records import Record
-from . import anomaly, clustering, distribution, rules
-from .anomaly import OutlierReport, anomaly_diversity, anomaly_summary, knn_outliers
-from .clustering import ClusterSummary, clustering_diversity, kmeans_summary
-from .distribution import AttributeStats, DistributionSummary, dist_summary, distribution_diversity
-from .rules import Cn2Params, Condition, Rule, RuleSet, cn2_induce, rule_diversity
+
+if TYPE_CHECKING:
+    from ..catalog import MrPair
 
 
 @dataclass(frozen=True)
@@ -53,27 +50,16 @@ class DiversityScore(Record):
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-# metric -> (summarize(dataset, params), compare(summary_s, summary_f)).  The
-# summarizers look their kernels up by name on each call, so code that rebinds
-# those module names (the benchmark's span tracer) sees every call.
+# metric -> (its module, the module's compare(summary_s, summary_f)).  Only
+# the chosen metric's module is imported.  Each module's
+# ``summarize(dataset, params)`` looks its kernel up by name on each call, so
+# code that rebinds those module names (the benchmark's span tracer) sees
+# every call.
 _TABLE = {
-    "rule": (
-        lambda dataset, p: cn2_induce(
-            dataset, Cn2Params(p.beam_width, p.min_covered, p.max_conditions, p.bins)
-        ),
-        rules.compare_rules,
-    ),
-    "anomaly": (
-        lambda dataset, p: anomaly_summary(dataset, p.knn_k, p.contamination, p.standardize),
-        anomaly.compare_outliers,
-    ),
-    "clustering": (
-        lambda dataset, p: kmeans_summary(
-            numeric_view(dataset, p.standardize), p.kmeans_k, p.seed, p.kmeans_max_iters
-        ),
-        clustering.compare_clusters,
-    ),
-    "distribution": (lambda dataset, p: dist_summary(dataset), distribution.compare_distributions),
+    "rule": ("rules", "compare_rules"),
+    "anomaly": ("anomaly", "compare_outliers"),
+    "clustering": ("clustering", "compare_clusters"),
+    "distribution": ("distribution", "compare_distributions"),
 }
 METRICS = tuple(_TABLE)
 
@@ -105,7 +91,9 @@ def score_catalog(
     try:
         if metric not in _TABLE:
             raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
-        summarize, compare = _TABLE[metric]
+        module_name, compare_name = _TABLE[metric]
+        module = import_module(f"{__name__}.{module_name}")
+        summarize, compare = module.summarize, getattr(module, compare_name)
         for pair in pairs:
             index = len(scores) + len(failures)
             try:
@@ -131,6 +119,24 @@ def score_catalog(
             f"metric {metric!r} not applicable to every MR:\n  " + "\n  ".join(failures)
         )
     return scores
+
+
+# the metric modules' public names, imported with their module on first use
+_KERNELS = {
+    "rules": ("Cn2Params", "Condition", "Rule", "RuleSet", "cn2_induce", "rule_diversity"),
+    "anomaly": ("OutlierReport", "knn_outliers", "anomaly_summary", "anomaly_diversity"),
+    "clustering": ("ClusterSummary", "kmeans_summary", "clustering_diversity"),
+    "distribution": ("AttributeStats", "DistributionSummary", "dist_summary",
+                     "distribution_diversity"),
+}
+_ORIGIN = {name: module for module, names in _KERNELS.items() for name in names}
+
+
+def __getattr__(name: str):
+    # not cached here, so a name rebound in its module is what this returns
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
 
 
 __all__ = [

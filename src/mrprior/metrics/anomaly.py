@@ -25,6 +25,7 @@ size (1 MB): 20,000 rows x 8 columns peak at about 3 MB traced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from ..catalog import round_half_up
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
+
+if TYPE_CHECKING:
+    from . import MetricParams
 
 # float64 elements in one block's rows x n approximate distances (1 MB)
 BLOCK_ELEMENTS = 2**17
@@ -141,6 +145,11 @@ def anomaly_summary(
     report = knn_outliers(view, k=k, contamination=contamination)
     order = np.argsort(np.array(view.feature_names))
     return AnomalySummary(report, tuple(sorted(view.feature_names)), view.raw[:, order])
+
+
+def summarize(dataset: Dataset, params: MetricParams) -> AnomalySummary:
+    """One side of the ``anomaly`` metric."""
+    return anomaly_summary(dataset, params.knn_k, params.contamination, params.standardize)
 
 
 def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:

@@ -17,12 +17,16 @@ centroids at once, in place, in one reused buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
+
+if TYPE_CHECKING:
+    from . import MetricParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,21 +179,38 @@ def kmeans_summary(
     if int(sizes.sum()) != n:
         raise InvariantError("cluster sizes do not add up to the row count")
 
-    pair_dists = [
-        float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    within = np.sqrt(d2[np.arange(n), assignment])
+    with np.errstate(over="ignore"):   # an overflow is raised below
+        pair_dists = [
+            float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
+            for i in range(k)
+            for j in range(i + 1, k)
+        ]
+    between_total = float(sum(pair_dists))
+    within_avg = float(np.sqrt(d2[np.arange(n), assignment]).mean())
+    # k = 1 draws no seed, and a Lloyd step can leave the seeding's range:
+    # an overflowed squared distance shows up in one of the two totals
+    if not (np.isfinite(between_total) and np.isfinite(within_avg)):
+        raise ApplicabilityError(
+            "k-means: squared distances overflow float64 "
+            "(standardize the features or rescale them)"
+        )
     return ClusterSummary(
         k=k,
         centroids=centroids,
         sizes=tuple(int(s) for s in sizes),
-        between_total=float(sum(pair_dists)),
+        between_total=between_total,
         size_total=n,
-        within_avg=float(within.mean()),
+        within_avg=within_avg,
         n_iters=iters,
         objective_trace=tuple(trace),
+    )
+
+
+def summarize(dataset: Dataset, params: MetricParams) -> ClusterSummary:
+    """One side of the ``clustering`` metric: k-means on its numeric view."""
+    return kmeans_summary(
+        numeric_view(dataset, params.standardize),
+        params.kmeans_k, params.seed, params.kmeans_max_iters,
     )
 
 

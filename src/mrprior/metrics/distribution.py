@@ -9,12 +9,16 @@ terms and are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset
 from ..errors import ApplicabilityError
 from ..records import Record
+
+if TYPE_CHECKING:
+    from . import MetricParams
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,11 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
     shape_total = float(sum(s.skewness + s.kurtosis for s in by_name))
     spread_total = float(sum(s.range + s.variance + s.stddev for s in by_name))
     return DistributionSummary(tuple(stats), shape_total, spread_total)
+
+
+def summarize(dataset: Dataset, params: MetricParams) -> DistributionSummary:
+    """One side of the ``distribution`` metric; it has no parameters."""
+    return dist_summary(dataset)
 
 
 def compare_distributions(

@@ -14,12 +14,16 @@ candidates with one AND and one popcount.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset, mean_imputed
 from ..errors import ApplicabilityError, InputError
 from ..records import Record
+
+if TYPE_CHECKING:
+    from . import MetricParams
 
 OP_EQ = "="
 OP_LE = "<="
@@ -254,6 +258,14 @@ def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
         remaining &= ~bits
 
     return RuleSet(tuple(rules), class_attr.values[default_code])
+
+
+def summarize(dataset: Dataset, params: MetricParams) -> RuleSet:
+    """One side of the ``rule`` metric: its CN2 rule set."""
+    return cn2_induce(
+        dataset,
+        Cn2Params(params.beam_width, params.min_covered, params.max_conditions, params.bins),
+    )
 
 
 def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-import numpy as np
-
 
 class Record:
     """Mixin for dataclasses whose ``to_dict`` is their exported fields."""
@@ -24,6 +22,9 @@ class Record:
 
 
 def _plain(value):
+    # imported here, so that importing a record type loads no numpy
+    import numpy as np
+
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, np.ndarray):

@@ -248,6 +248,29 @@ SPEC_FAULTS = [
 ]
 
 
+@pytest.mark.parametrize("mr, validations", [
+    (MrSpec("M", "scale", "affine_numeric", {"scale": 2.0}), 1),
+    (MrSpec("M", "shuffle", "permute_instances", seed=3), 1),
+    (MrSpec("M", "ident", "identity"), 0),   # the source, validated already
+])
+def test_apply_mr_validates_the_followup_once(monkeypatch, mr, validations):
+    from mrprior.dataset import Dataset
+
+    source = ibk_row()
+    calls = []
+    original = Dataset.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counting)
+    out = apply_mr(mr, source)
+    assert len(calls) == validations
+    assert out.name == "fixture#M" and source.name == "fixture"
+    assert out is not source
+
+
 def test_spec_faults_cover_every_transform_that_can_fail():
     assert {t for t, *_ in SPEC_FAULTS} == set(TRANSFORMS) - {"identity"}
 

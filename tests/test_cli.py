@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1024,3 +1025,48 @@ def test_overflowing_kmeans_seeding_exits_3(tmp_path, monkeypatch, capsys):
         "not applicable: metric 'clustering' not applicable to every MR:\n"
         f"  MR1: {reason}\n  MR2: {reason}\n"
     )
+
+
+def huge_workspace(tmp_path, monkeypatch):
+    # x near +-1e200: its squares, and so its spread and any squared
+    # distance, overflow float64
+    monkeypatch.chdir(tmp_path)
+    rows = ["x,y", *(f"{(-1) ** i * (1 + i / 10)}e200,{i % 3}" for i in range(20))]
+    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
+    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
+    return ["prioritize", "--dataset", "d.csv", "--catalog", "cat.txt", "--out", "r.json"]
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (["--metric", "clustering", "--no-standardize", "--kmeans-k", "1"],
+     "k-means: squared distances overflow float64 (standardize the features or rescale them)"),
+    (["--metric", "clustering"],
+     "dataset 'd.csv': attribute 'x' has a standard deviation that overflows float64 "
+     "(rescale it)"),
+    (["--metric", "anomaly"],
+     "dataset 'd.csv': attribute 'x' has a standard deviation that overflows float64 "
+     "(rescale it)"),
+], ids=["kmeans-k1-unstandardized", "clustering-standardized", "anomaly-standardized"])
+def test_overflowing_spread_exits_3_without_a_warning(tmp_path, monkeypatch, capsys,
+                                                      extra, reason):
+    argv = huge_workspace(tmp_path, monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, *extra])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"not applicable: metric {extra[1]!r} not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unstandardized_huge_column_scores_without_a_warning(tmp_path, monkeypatch):
+    # the spread overflows, but nothing reads it: CN2 splits on bins of the values
+    argv = huge_workspace(tmp_path, monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--metric", "rule", "--class-column", "y"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 0

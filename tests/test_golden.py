@@ -1,6 +1,6 @@
-"""Golden outputs: `prioritize` files compared byte for byte with committed ones.
+"""Golden outputs: CLI output files compared byte for byte with committed ones.
 
-The inputs live in ``tests/golden/<metric>/`` beside an ``expected/``
+The inputs live in ``tests/golden/<case>/`` beside an ``expected/``
 directory.  The output header echoes the command-line paths, so each run
 copies the inputs into a temporary directory and names them relatively.
 """
@@ -33,3 +33,46 @@ def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch):
                  "--metric", metric, "--out", rank, "--diagnostics", diag]) == 0
     for name in (rank, diag):
         assert (tmp_path / name).read_bytes() == (inputs / "expected" / name).read_bytes(), name
+
+
+# evaluation: kills.csv is 6 MRs x 12 mutants (MR5 kills none), so compare
+# enumerates every sign assignment; kills_wide.csv has 30 mutants, so compare
+# samples them.  order.json starts with a byte-order mark.  compare reads
+# the committed reports of the runs before it from expected/.
+KILLS = ["--kills", "kills.csv", "--times", "times.csv"]
+WIDE = ["--kills", "kills_wide.csv", "--times", "times_wide.csv"]
+EVALUATION = {
+    "evaluate_ranking": ["evaluate", "--ranking", "ranking.json", *KILLS],
+    "evaluate_order": ["evaluate", "--order", "order.json", *KILLS, "--thresholds", "10", "5"],
+    "baseline_random": ["baseline", "random", *KILLS, "--runs", "25", "--seed", "4"],
+    "baseline_exhaustive": ["baseline", "random", *KILLS, "--exhaustive"],
+    "baseline_coverage": ["baseline", "coverage", "--coverage", "coverage.csv"],
+    "compare_exact": ["compare", "--treatment", "expected/evaluate_ranking.json",
+                      "--baseline", "expected/baseline_exhaustive.json",
+                      "--alternative", "two-sided"],
+    "evaluate_wide": ["evaluate", "--order", "order.json", *WIDE],
+    "baseline_wide": ["baseline", "random", *WIDE, "--runs", "40", "--seed", "2"],
+    "compare_monte_carlo": ["compare", "--treatment", "expected/evaluate_wide.json",
+                            "--baseline", "expected/baseline_wide.json",
+                            "--iterations", "3000", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("run", list(EVALUATION))
+def test_evaluation_matches_golden_bytes(run, tmp_path, monkeypatch):
+    inputs = GOLDEN / "evaluation"
+    shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    out = f"{run}.json"
+    assert main([*EVALUATION[run], "--out", out]) == 0
+    assert (tmp_path / out).read_bytes() == (inputs / "expected" / out).read_bytes()
+
+
+def test_synth_matches_golden_bytes(tmp_path, monkeypatch):
+    expected = GOLDEN / "evaluation" / "expected"
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--mrs", "5", "--mutants", "9", "--kill-prob", "0.1,0.5,0.3,0.9,0.2",
+                 "--times", "0.25:4", "--seed", "11",
+                 "--out-kills", "synth_kills.csv", "--out-times", "synth_times.csv"]) == 0
+    for name in ("synth_kills.csv", "synth_times.csv"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name

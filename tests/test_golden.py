@@ -15,17 +15,23 @@ from mrprior.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 # clustering: 36 rows x 10 numeric columns (column 0 takes 5 values, a
-# constant column, signed zeros, a row repeated three times) and a class
+# constant column, signed zeros, a row repeated three times) and a class.
+# Every metric ranks its catalog; k-means also ranks its follow-up files.
+CATALOG = ["--catalog", "catalog.txt"]
 RUNS = {
-    "catalog": ("clustering", ["--catalog", "catalog.txt"]),
+    "catalog": ("clustering", CATALOG),
     "followups": ("clustering", ["--followup-dir", "followups"]),
+    "rule": ("rule", CATALOG),
+    "anomaly": ("anomaly", CATALOG),
+    "distribution": ("distribution", CATALOG),
+    "top_n": ("anomaly", [*CATALOG, "--top-n", "2"]),
 }
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch):
     metric, source = RUNS[run]
-    inputs = GOLDEN / metric
+    inputs = GOLDEN / "clustering"
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True, ignore=shutil.ignore_patterns("expected"))
     monkeypatch.chdir(tmp_path)
     rank, diag = f"rank_{run}.json", f"diag_{run}.json"

@@ -15,10 +15,11 @@ _MODULES = {
                 "save_arff", "numeric_view"),
     "catalog": ("MrSpec", "MrPair", "load_catalog", "apply_mr", "build_pairs",
                 "pair_from_files"),
-    "metrics": ("METRICS", "MetricParams", "DiversityScore", "score_pair", "score_catalog",
-                "cn2_induce", "rule_diversity", "knn_outliers", "anomaly_diversity",
-                "kmeans_summary", "clustering_diversity", "dist_summary",
-                "distribution_diversity"),
+    "metrics": ("METRICS", "MetricParams", "DiversityScore", "score_pair", "score_catalog"),
+    "metrics.rules": ("cn2_induce", "rule_diversity"),
+    "metrics.anomaly": ("knn_outliers", "anomaly_diversity"),
+    "metrics.clustering": ("kmeans_summary", "clustering_diversity"),
+    "metrics.distribution": ("dist_summary", "distribution_diversity"),
     "prioritizer": ("normalize", "rank", "top_n", "Ranking", "RankEntry"),
     "evaluation": ("KillMatrix", "CoverageMatrix", "EvalReport", "load_kill_matrix",
                    "load_coverage_matrix", "save_kill_matrix", "synth_kill_matrix",

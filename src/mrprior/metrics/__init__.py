@@ -9,6 +9,11 @@ source summary with the follow-up summary.
                     outlier vectors discarded pairwise)
 * ``clustering``    absolute difference of k-means shape totals
 * ``distribution``  absolute difference of moment/spread totals
+
+``MetricParams`` is the one object that carries the metrics' parameters;
+each kernel's defaults read its fields.  The kernels and their record types
+come from their own modules (``mrprior.metrics.rules``, ...) or from
+``mrprior``.
 """
 
 from __future__ import annotations
@@ -121,44 +126,4 @@ def score_catalog(
     return scores
 
 
-# the metric modules' public names, imported with their module on first use
-_KERNELS = {
-    "rules": ("Cn2Params", "Condition", "Rule", "RuleSet", "cn2_induce", "rule_diversity"),
-    "anomaly": ("OutlierReport", "knn_outliers", "anomaly_summary", "anomaly_diversity"),
-    "clustering": ("ClusterSummary", "kmeans_summary", "clustering_diversity"),
-    "distribution": ("AttributeStats", "DistributionSummary", "dist_summary",
-                     "distribution_diversity"),
-}
-_ORIGIN = {name: module for module, names in _KERNELS.items() for name in names}
-
-
-def __getattr__(name: str):
-    # not cached here, so a name rebound in its module is what this returns
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-
-
-__all__ = [
-    "METRICS",
-    "MetricParams",
-    "DiversityScore",
-    "score_pair",
-    "score_catalog",
-    "Cn2Params",
-    "Condition",
-    "Rule",
-    "RuleSet",
-    "cn2_induce",
-    "rule_diversity",
-    "OutlierReport",
-    "knn_outliers",
-    "anomaly_diversity",
-    "ClusterSummary",
-    "kmeans_summary",
-    "clustering_diversity",
-    "AttributeStats",
-    "DistributionSummary",
-    "dist_summary",
-    "distribution_diversity",
-]
+__all__ = ["METRICS", "MetricParams", "DiversityScore", "score_pair", "score_catalog"]

@@ -25,7 +25,6 @@ size (1 MB): 20,000 rows x 8 columns peak at about 3 MB traced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +32,7 @@ from ..catalog import round_half_up
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
-
-if TYPE_CHECKING:
-    from . import MetricParams
+from . import MetricParams
 
 # float64 elements in one block's rows x n approximate distances (1 MB)
 BLOCK_ELEMENTS = 2**17
@@ -52,7 +49,11 @@ class OutlierReport(Record):
     contamination: float
 
 
-def knn_outliers(view: NumericView, k: int = 5, contamination: float = 0.05) -> OutlierReport:
+def knn_outliers(
+    view: NumericView,
+    k: int = MetricParams.knn_k,
+    contamination: float = MetricParams.contamination,
+) -> OutlierReport:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if not 0 < contamination < 1:
@@ -138,18 +139,13 @@ class AnomalySummary:
     raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
 
 
-def anomaly_summary(
-    dataset: Dataset, k: int = 5, contamination: float = 0.05, standardize: bool = True
-) -> AnomalySummary:
-    view = numeric_view(dataset, standardize=standardize)
-    report = knn_outliers(view, k=k, contamination=contamination)
+def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySummary:
+    """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view."""
+    params = params or MetricParams()
+    view = numeric_view(dataset, standardize=params.standardize)
+    report = knn_outliers(view, k=params.knn_k, contamination=params.contamination)
     order = np.argsort(np.array(view.feature_names))
     return AnomalySummary(report, tuple(sorted(view.feature_names)), view.raw[:, order])
-
-
-def summarize(dataset: Dataset, params: MetricParams) -> AnomalySummary:
-    """One side of the ``anomaly`` metric."""
-    return anomaly_summary(dataset, params.knn_k, params.contamination, params.standardize)
 
 
 def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:
@@ -189,13 +185,6 @@ def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[
 
 
 def anomaly_diversity(
-    source: Dataset,
-    followup: Dataset,
-    k: int = 5,
-    contamination: float = 0.05,
-    standardize: bool = True,
+    source: Dataset, followup: Dataset, params: MetricParams | None = None
 ) -> tuple[float, dict]:
-    return compare_outliers(
-        anomaly_summary(source, k, contamination, standardize),
-        anomaly_summary(followup, k, contamination, standardize),
-    )
+    return compare_outliers(summarize(source, params), summarize(followup, params))

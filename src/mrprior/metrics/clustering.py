@@ -17,16 +17,13 @@ centroids at once, in place, in one reused buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
-
-if TYPE_CHECKING:
-    from . import MetricParams
+from . import MetricParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +127,10 @@ def _seed_centroids(
 
 
 def kmeans_summary(
-    view: NumericView, k: int = 3, seed: int = 0, max_iters: int = 100
+    view: NumericView,
+    k: int = MetricParams.kmeans_k,
+    seed: int = MetricParams.seed,
+    max_iters: int = MetricParams.kmeans_max_iters,
 ) -> ClusterSummary:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -206,8 +206,9 @@ def kmeans_summary(
     )
 
 
-def summarize(dataset: Dataset, params: MetricParams) -> ClusterSummary:
+def summarize(dataset: Dataset, params: MetricParams | None = None) -> ClusterSummary:
     """One side of the ``clustering`` metric: k-means on its numeric view."""
+    params = params or MetricParams()
     return kmeans_summary(
         numeric_view(dataset, params.standardize),
         params.kmeans_k, params.seed, params.kmeans_max_iters,
@@ -229,14 +230,6 @@ def compare_clusters(source: ClusterSummary, followup: ClusterSummary) -> tuple[
 
 
 def clustering_diversity(
-    source: Dataset,
-    followup: Dataset,
-    k: int = 3,
-    seed: int = 0,
-    max_iters: int = 100,
-    standardize: bool = True,
+    source: Dataset, followup: Dataset, params: MetricParams | None = None
 ) -> tuple[float, dict]:
-    return compare_clusters(
-        kmeans_summary(numeric_view(source, standardize), k, seed, max_iters),
-        kmeans_summary(numeric_view(followup, standardize), k, seed, max_iters),
-    )
+    return compare_clusters(summarize(source, params), summarize(followup, params))

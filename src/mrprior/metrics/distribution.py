@@ -9,16 +9,13 @@ terms and are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset
 from ..errors import ApplicabilityError
 from ..records import Record
-
-if TYPE_CHECKING:
-    from . import MetricParams
+from . import MetricParams
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
     return DistributionSummary(tuple(stats), shape_total, spread_total)
 
 
-def summarize(dataset: Dataset, params: MetricParams) -> DistributionSummary:
+def summarize(dataset: Dataset, params: MetricParams | None = None) -> DistributionSummary:
     """One side of the ``distribution`` metric; it has no parameters."""
     return dist_summary(dataset)
 

@@ -14,16 +14,13 @@ candidates with one AND and one popcount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..dataset import Dataset, mean_imputed
 from ..errors import ApplicabilityError, InputError
 from ..records import Record
-
-if TYPE_CHECKING:
-    from . import MetricParams
+from . import MetricParams
 
 OP_EQ = "="
 OP_LE = "<="
@@ -57,20 +54,6 @@ class Rule(Record):
 class RuleSet(Record):
     rules: tuple[Rule, ...]
     default_class: str
-
-
-@dataclass(frozen=True)
-class Cn2Params:
-    beam_width: int = 5
-    min_covered: int = 2
-    max_conditions: int = 3
-    bins: int = 4
-
-    def __post_init__(self) -> None:
-        if self.beam_width < 1 or self.min_covered < 1 or self.max_conditions < 1:
-            raise InputError("CN2 parameters must all be >= 1")
-        if self.bins < 2:
-            raise InputError(f"bins must be >= 2, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +140,7 @@ def _best_rule(
     selector_bits: np.ndarray,
     class_bits: np.ndarray,
     remaining: np.ndarray,
-    params: Cn2Params,
+    params: MetricParams,
 ):
     """Beam search for the highest-Laplace rule over the remaining rows.
 
@@ -214,8 +197,12 @@ def _best_rule(
     return best
 
 
-def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
-    params = params or Cn2Params()
+def cn2_induce(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
+    params = params or MetricParams()
+    if params.beam_width < 1 or params.min_covered < 1 or params.max_conditions < 1:
+        raise InputError("CN2 parameters must all be >= 1")
+    if params.bins < 2:
+        raise InputError(f"bins must be >= 2, got {params.bins}")
     class_attr = dataset.class_attribute
     if class_attr is None:
         raise ApplicabilityError(
@@ -260,12 +247,9 @@ def cn2_induce(dataset: Dataset, params: Cn2Params | None = None) -> RuleSet:
     return RuleSet(tuple(rules), class_attr.values[default_code])
 
 
-def summarize(dataset: Dataset, params: MetricParams) -> RuleSet:
+def summarize(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
     """One side of the ``rule`` metric: its CN2 rule set."""
-    return cn2_induce(
-        dataset,
-        Cn2Params(params.beam_width, params.min_covered, params.max_conditions, params.bins),
-    )
+    return cn2_induce(dataset, params)
 
 
 def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:
@@ -287,6 +271,6 @@ def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:
 
 
 def rule_diversity(
-    source: Dataset, followup: Dataset, params: Cn2Params | None = None
+    source: Dataset, followup: Dataset, params: MetricParams | None = None
 ) -> tuple[float, dict]:
     return compare_rules(cn2_induce(source, params), cn2_induce(followup, params))

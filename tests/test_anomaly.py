@@ -16,6 +16,7 @@ import mrprior
 from mrprior import (
     ApplicabilityError,
     InputError,
+    MetricParams,
     MrSpec,
     anomaly_diversity,
     apply_mr,
@@ -307,7 +308,7 @@ class TestAnomalyDiversity:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(23)
         d = random_dataset(rng, n_rows=40)
-        raw, diag = anomaly_diversity(d, d, k=3, contamination=0.1)
+        raw, diag = anomaly_diversity(d, d, MetricParams(knn_k=3, contamination=0.1))
         assert raw == 0.0
         # every flagged outlier has an identical twin on the other side
         assert diag["surviving_source"] == 0
@@ -318,8 +319,8 @@ class TestAnomalyDiversity:
         d = random_dataset(rng, n_rows=40)
         f = apply_mr(MrSpec("M", "d", "duplicate_instances", {"fraction": 0.4}, seed=5), d)
         assert (
-            anomaly_diversity(d, f, k=3, contamination=0.1)[0]
-            == anomaly_diversity(f, d, k=3, contamination=0.1)[0]
+            anomaly_diversity(d, f, MetricParams(knn_k=3, contamination=0.1))[0]
+            == anomaly_diversity(f, d, MetricParams(knn_k=3, contamination=0.1))[0]
         )
 
     def test_count_difference_semantics(self):
@@ -327,7 +328,7 @@ class TestAnomalyDiversity:
         rng = np.random.default_rng(25)
         d = random_dataset(rng, n_rows=60)
         f = apply_mr(MrSpec("M", "r", "remove_instances", {"fraction": 0.5}, seed=6), d)
-        raw, _ = anomaly_diversity(d, f, k=3, contamination=0.1)
+        raw, _ = anomaly_diversity(d, f, MetricParams(knn_k=3, contamination=0.1))
         flags_s = len(knn_outliers(numeric_view(d), 3, 0.1).indices)
         flags_f = len(knn_outliers(numeric_view(f), 3, 0.1).indices)
         assert raw == abs(flags_s - flags_f)
@@ -337,7 +338,7 @@ class TestAnomalyDiversity:
         f = apply_mr(
             MrSpec("M", "u", "add_uninformative_attribute", {"value": "1"}), d
         )
-        raw, diag = anomaly_diversity(d, f, k=2, contamination=0.1)
+        raw, diag = anomaly_diversity(d, f, MetricParams(knn_k=2, contamination=0.1))
         # feature sets differ, so no identical pairs can be claimed
         assert diag["identical_pairs"] == []
         assert raw == 0.0
@@ -354,7 +355,7 @@ class TestAnomalyDiversity:
         d = random_dataset(rng, n_rows=40, missing=0.1)
         names = [a.name for i, a in enumerate(d.attributes) if i in d.numeric_indices()]
         unscaled = numeric_view(d, standardize=False).matrix[:, np.argsort(names)]
-        summary = anomaly.anomaly_summary(d, k=3, contamination=0.1)
+        summary = anomaly.summarize(d, MetricParams(knn_k=3, contamination=0.1))
         assert views == [True]
         # the matched vectors are the imputed, unstandardized rows, bit for bit
         assert summary.feature_names == tuple(sorted(names))
@@ -400,7 +401,7 @@ def test_raw_score_is_the_flag_count_difference(
     raw, diag = anomaly_diversity(
         make_dataset({"a": list(source[:, 0]), "b": list(source[:, 1])}),
         make_dataset({"a": list(followup[:, 0]), "b": list(followup[:, 1])}),
-        k=k, contamination=contamination, standardize=standardize,
+        MetricParams(knn_k=k, contamination=contamination, standardize=standardize),
     )
     matched = len(diag["identical_pairs"])
     assert diag["surviving_source"] == flag_count(n_source, contamination) - matched

@@ -6,6 +6,7 @@ import pytest
 from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import numeric_view
 from mrprior.errors import ApplicabilityError, InputError
+from mrprior.metrics import MetricParams
 from mrprior.metrics.clustering import clustering_diversity, kmeans_summary
 
 from conftest import make_dataset, random_dataset
@@ -120,7 +121,7 @@ class TestClusteringDiversity:
             ds = random_dataset(rng, name=f"ident{run}")
             while not ds.numeric_indices():
                 ds = random_dataset(rng, name=f"ident{run}")
-            raw, _ = clustering_diversity(ds, ds, k=min(3, ds.n_rows))
+            raw, _ = clustering_diversity(ds, ds, MetricParams(kmeans_k=min(3, ds.n_rows)))
             assert raw == 0.0
 
     def test_permuted_instances_score_zero(self):
@@ -136,7 +137,7 @@ class TestClusteringDiversity:
                 seed=run,
             )
             followup = apply_mr(mr, ds)
-            raw, _ = clustering_diversity(ds, followup, k=3, seed=run)
+            raw, _ = clustering_diversity(ds, followup, MetricParams(kmeans_k=3, seed=run))
             assert raw == 0.0
 
     def test_raw_matches_reported_totals(self):
@@ -147,7 +148,7 @@ class TestClusteringDiversity:
             params={"fraction": 0.4}, seed=2,
         )
         followup = apply_mr(mr, source)
-        raw, diag = clustering_diversity(source, followup, k=3, seed=9)
+        raw, diag = clustering_diversity(source, followup, MetricParams(kmeans_k=3, seed=9))
         assert raw == abs(diag["source_total"] - diag["followup_total"])
         assert diag["source"]["k"] == 3
         assert diag["followup"]["sizes"]
@@ -160,6 +161,6 @@ class TestClusteringDiversity:
             params={"fraction": 0.5}, seed=4,
         )
         followup = apply_mr(mr, source)
-        forward, _ = clustering_diversity(source, followup, k=3, seed=1)
-        backward, _ = clustering_diversity(followup, source, k=3, seed=1)
+        forward, _ = clustering_diversity(source, followup, MetricParams(kmeans_k=3, seed=1))
+        backward, _ = clustering_diversity(followup, source, MetricParams(kmeans_k=3, seed=1))
         assert forward == backward

@@ -4,8 +4,8 @@
 bool mask per selector and per candidate, each candidate scored on its own,
 fingerprints deduplicated through one ``seen`` set, and the numeric cuts
 taken as computed, duplicates included.  ``cn2_induce`` must return the
-same ``RuleSet`` for every dataset and every ``Cn2Params``, Laplace floats
-included.
+same ``RuleSet`` for every dataset and every CN2 setting of ``MetricParams``,
+Laplace floats included.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrprior.dataset import Attribute, Dataset
+from mrprior.metrics import MetricParams
 from mrprior.metrics.rules import (
     _OP_RANK,
     OP_EQ,
     OP_GT,
     OP_LE,
-    Cn2Params,
     Condition,
     Rule,
     RuleSet,
@@ -183,7 +183,7 @@ def cn2_datasets(draw):
 
 
 CN2_PARAMS = st.builds(
-    Cn2Params,
+    MetricParams,
     beam_width=st.integers(1, 8),
     min_covered=st.integers(1, 5),
     max_conditions=st.integers(1, 4),
@@ -200,7 +200,7 @@ def test_rule_sets_match_dense_oracle(dataset, params):
 def test_matches_oracle_on_random_tables():
     rng = np.random.default_rng(9)
     for run in range(8):
-        params = Cn2Params(beam_width=int(rng.integers(1, 9)), bins=int(rng.integers(2, 7)))
+        params = MetricParams(beam_width=int(rng.integers(1, 9)), bins=int(rng.integers(2, 7)))
         n_rows = 400 + 37 * run
         columns = {f"x{j}": list(rng.normal(0, 1 + j, n_rows)) for j in range(4)}
         columns["g"] = [("s", "t", "u")[int(k)] for k in rng.integers(0, 3, n_rows)]

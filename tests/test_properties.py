@@ -21,15 +21,10 @@ from hypothesis import strategies as st
 from mrprior.catalog import MrPair, MrSpec, apply_mr, build_pairs
 from mrprior.errors import ApplicabilityError
 from mrprior.dataset import numeric_view
-from mrprior.metrics import (
-    METRICS,
-    anomaly_summary,
-    cn2_induce,
-    dist_summary,
-    kmeans_summary,
-    score_catalog,
-    score_pair,
-)
+from mrprior.metrics import METRICS, anomaly, score_catalog, score_pair
+from mrprior.metrics.clustering import kmeans_summary
+from mrprior.metrics.distribution import dist_summary
+from mrprior.metrics.rules import cn2_induce
 from mrprior.prioritizer import normalize, rank
 
 from conftest import make_dataset
@@ -148,7 +143,7 @@ def _round_trips(exported) -> bool:
 def test_exports_are_plain_json(source, seed):
     summaries = [
         cn2_induce(source),
-        anomaly_summary(source).report,
+        anomaly.summarize(source).report,
         kmeans_summary(numeric_view(source), seed=seed),
         dist_summary(source),
     ]

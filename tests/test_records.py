@@ -14,22 +14,11 @@ from mrprior.evaluation import (
     evaluate_ordering,
     synth_kill_matrix,
 )
-from mrprior.metrics import (
-    AttributeStats,
-    ClusterSummary,
-    Condition,
-    DistributionSummary,
-    DiversityScore,
-    OutlierReport,
-    Rule,
-    RuleSet,
-    cn2_induce,
-    dist_summary,
-    kmeans_summary,
-    knn_outliers,
-    score_catalog,
-)
-from mrprior.metrics.anomaly import anomaly_summary
+from mrprior.metrics import DiversityScore, MetricParams, anomaly, score_catalog
+from mrprior.metrics.anomaly import OutlierReport, knn_outliers
+from mrprior.metrics.clustering import ClusterSummary, kmeans_summary
+from mrprior.metrics.distribution import AttributeStats, DistributionSummary, dist_summary
+from mrprior.metrics.rules import Condition, Rule, RuleSet, cn2_induce
 from mrprior.prioritizer import RankEntry, Ranking, normalize, rank
 from mrprior.records import Record
 
@@ -162,7 +151,7 @@ def _equal_pairs():
         "CoverageMatrix": lambda: CoverageMatrix(("MR1",), ("e1",), np.array([[True]])),
         "NumericView": lambda: numeric_view(dataset),
         "OutlierReport": lambda: knn_outliers(view, k=1, contamination=0.25),
-        "AnomalySummary": lambda: anomaly_summary(dataset, k=1, contamination=0.25),
+        "AnomalySummary": lambda: anomaly.summarize(dataset, MetricParams(knn_k=1, contamination=0.25)),
         "ClusterSummary": lambda: kmeans_summary(view, k=2, seed=0),
     }
     return {kind: (make(), make()) for kind, make in makers.items()}

@@ -6,10 +6,10 @@ import pytest
 from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import Attribute
 from mrprior.errors import ApplicabilityError, InputError
+from mrprior.metrics import MetricParams
 from mrprior.metrics.rules import (
     OP_EQ,
     OP_LE,
-    Cn2Params,
     _impute_columns,
     cn2_induce,
     rule_diversity,
@@ -118,7 +118,7 @@ class TestCn2Induce:
 
     def test_coverage_floor_holds_on_random_datasets(self):
         rng = np.random.default_rng(41)
-        params = Cn2Params()
+        params = MetricParams()
         for run in range(20):
             ds = random_dataset(rng, missing=0.1, name=f"cn2-{run}")
             ruleset = cn2_induce(ds, params)
@@ -144,12 +144,13 @@ class TestCn2Induce:
             cn2_induce(empty)
 
     def test_parameter_validation(self):
+        ds = separable_dataset()
         with pytest.raises(InputError):
-            Cn2Params(beam_width=0)
+            cn2_induce(ds, MetricParams(beam_width=0))
         with pytest.raises(InputError):
-            Cn2Params(min_covered=0)
+            cn2_induce(ds, MetricParams(min_covered=0))
         with pytest.raises(InputError):
-            Cn2Params(bins=1)
+            cn2_induce(ds, MetricParams(bins=1))
 
 
 class TestClassify:

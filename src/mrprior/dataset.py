@@ -606,10 +606,11 @@ def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     observed = column[~missing]
     if observed.size == 0:
         return None
-    mean = _ordered_stat(observed, np.mean)
-    # squares of cells near 1e200 overflow to inf, which numeric_view rejects
-    # when it standardizes; nothing else reads the spread
+    # a sum of cells near 1e308, or the squares of cells near 1e200, overflow
+    # to inf; numeric_view rejects such a spread when it standardizes, and
+    # nothing else reads the spread
     with np.errstate(over="ignore"):
+        mean = _ordered_stat(observed, np.mean)
         std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
     return np.where(missing, mean, column), mean, std
 

@@ -179,13 +179,13 @@ def kmeans_summary(
     if int(sizes.sum()) != n:
         raise InvariantError("cluster sizes do not add up to the row count")
 
+    # pairwise centroid distances, added left to right, as sum() does
+    # before Python 3.12
+    between_total = 0.0
     with np.errstate(over="ignore"):   # an overflow is raised below
-        pair_dists = [
-            float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
-            for i in range(k)
-            for j in range(i + 1, k)
-        ]
-    between_total = float(sum(pair_dists))
+        for i in range(k):
+            for j in range(i + 1, k):
+                between_total += float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
     within_avg = float(np.sqrt(d2[np.arange(n), assignment]).mean())
     # k = 1 draws no seed, and a Lloyd step can leave the seeding's range:
     # an overflowed squared distance shows up in one of the two totals

@@ -3,11 +3,13 @@
 All moments are population moments (denominator n).  Skewness is
 m3 / m2^1.5 and kurtosis is excess kurtosis m4 / m2^2 - 3.  Attributes with
 fewer than three observed values or zero variance contribute 0 to both shape
-terms and are flagged.
+terms and are flagged.  A dataset whose statistics or totals overflow
+float64 is not applicable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +55,11 @@ def _column_stats(name: str, values: np.ndarray) -> AttributeStats:
         return AttributeStats(name, n, spread_range, m2, stddev, 0.0, 0.0, True)
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
-    skewness = m3 / m2**1.5
-    kurtosis = m4 / m2**2 - 3.0
+    try:
+        skewness = m3 / m2**1.5
+        kurtosis = m4 / m2**2 - 3.0
+    except OverflowError:   # a float's power raises where numpy's gives inf
+        skewness = kurtosis = math.inf
     return AttributeStats(name, n, spread_range, m2, stddev, skewness, kurtosis, False)
 
 
@@ -66,14 +71,23 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
             f"dataset {dataset.name!r}: distribution metric needs numeric attributes"
         )
     stats = []
-    for i in indices:
-        column = dataset.columns[i]
-        stats.append(_column_stats(dataset.attributes[i].name, column[~np.isnan(column)]))
-    # summing in attribute-name order keeps the totals bit-identical when
-    # the columns are permuted
-    by_name = sorted(stats, key=lambda s: s.name)
-    shape_total = float(sum(s.skewness + s.kurtosis for s in by_name))
-    spread_total = float(sum(s.range + s.variance + s.stddev for s in by_name))
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
+        for i in indices:
+            column = dataset.columns[i]
+            stats.append(_column_stats(dataset.attributes[i].name, column[~np.isnan(column)]))
+    # adding in attribute-name order keeps the totals bit-identical when the
+    # columns are permuted, and adding left to right (sum() compensates from
+    # Python 3.12 on) keeps them so on every Python
+    shape_total = spread_total = 0.0
+    for s in sorted(stats, key=lambda s: s.name):
+        shape_total += s.skewness + s.kurtosis
+        spread_total += s.range + s.variance + s.stddev
+        # a statistic that is inf or NaN leaves its totals so
+        if not (math.isfinite(shape_total) and math.isfinite(spread_total)):
+            raise ApplicabilityError(
+                f"dataset {dataset.name!r}: attribute {s.name!r} has statistics "
+                "that overflow float64 (rescale it)"
+            )
     return DistributionSummary(tuple(stats), shape_total, spread_total)
 
 

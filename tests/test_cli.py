@@ -1070,3 +1070,52 @@ def test_unstandardized_huge_column_scores_without_a_warning(tmp_path, monkeypat
         rc = main([*argv, "--metric", "rule", "--class-column", "y"])
     assert [str(w.message) for w in caught] == []
     assert rc == 0
+
+
+def near_limit_workspace(tmp_path, monkeypatch, cells):
+    monkeypatch.chdir(tmp_path)
+    rows = ["x,y,cls", *(f"{cell},{i % 3},c{i % 2}" for i, cell in enumerate(cells))]
+    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
+    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
+    return ["prioritize", "--dataset", "d.csv", "--class-column", "cls",
+            "--catalog", "cat.txt", "--out", "r.json"]
+
+
+# 20 cells each: the sum of the first two tables overflows (so their means
+# do), the range of the second overflows, and the third's moments overflow
+# only once raised to the power 1.5 or 2
+NEAR_LIMIT = {
+    "sum": ["1.7e308" if i % 2 else "1.6e308" for i in range(20)],
+    "range": ["1.7e308" if i % 2 else "-1.7e308" for i in range(20)],
+    "power": [f"{i % 5}e110" for i in range(20)],
+}
+
+
+@pytest.mark.parametrize("table", sorted(NEAR_LIMIT))
+def test_overflowing_statistics_exit_3_without_a_warning(tmp_path, monkeypatch, capsys, table):
+    argv = near_limit_workspace(tmp_path, monkeypatch, NEAR_LIMIT[table])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--metric", "distribution"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    reason = "dataset 'd.csv': attribute 'x' has statistics that overflow float64 (rescale it)"
+    assert capsys.readouterr().err == (
+        "not applicable: metric 'distribution' not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("metric, rc", [
+    ("rule", 0), ("anomaly", 3), ("clustering", 3), ("distribution", 3),
+])
+def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, capsys, metric, rc):
+    argv = near_limit_workspace(tmp_path, monkeypatch, NEAR_LIMIT["sum"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--metric", metric]) == rc
+    assert [str(w.message) for w in caught] == []
+    if rc == 0:
+        assert capsys.readouterr().err == ""
+        assert "NaN" not in (tmp_path / "r.json").read_text()

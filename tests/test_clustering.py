@@ -1,5 +1,8 @@
 """Tests for the k-means cluster-shape metric."""
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,13 @@ class TestClusteringDiversity:
         forward, _ = clustering_diversity(source, followup, MetricParams(kmeans_k=3, seed=1))
         backward, _ = clustering_diversity(followup, source, MetricParams(kmeans_k=3, seed=1))
         assert forward == backward
+
+
+def test_between_total_adds_left_to_right():
+    # sum() compensates from Python 3.12 on; on these 15 centroid pairs that
+    # moves the total's last bit, so the total must not come from it
+    rng = np.random.default_rng(2)
+    summary = kmeans_summary(numeric_view(random_dataset(rng, n_rows=60)), k=6, seed=2)
+    c = summary.centroids
+    dists = [float(np.sqrt(((c[i] - c[j]) ** 2).sum())) for i in range(6) for j in range(i + 1, 6)]
+    assert summary.between_total == reduce(add, dists, 0.0)

@@ -50,6 +50,9 @@ class MrSpec:
         if self.transform == EXTERNAL:
             return
         _, needs_seed, required = _lookup(self.transform)
+        # text values, a catalog line's or a caller's, take their parameter's type
+        object.__setattr__(self, "params", {k: _typed(k, v) for k, v in self.params.items()})
+        object.__setattr__(self, "seed", _typed("seed", self.seed))
         transform, params, seed = self.transform, self.params, self.seed
         if needs_seed and seed is None:
             raise InputError(f"transform {transform!r} is randomized and needs seed=")
@@ -94,7 +97,25 @@ _INT_PARAMS = {"seed", "count"}
 _FLOAT_PARAMS = {"scale", "shift", "fraction"}
 
 
+def _typed(key: str, value):
+    """A text *value* as parameter *key*'s type; any other value as it is."""
+    if not isinstance(value, str):
+        return value
+    if key in _INT_PARAMS:
+        try:
+            return int(value)
+        except ValueError:
+            raise InputError(f"parameter {key!r} expects an integer, got {value!r}") from None
+    if key in _FLOAT_PARAMS:
+        number = parse_number(value)
+        if number is None:
+            raise InputError(f"parameter {key!r} expects a number, got {value!r}")
+        return number
+    return value
+
+
 def _parse_params(tokens: list[str]) -> dict:
+    """``key=value`` tokens as a dict of texts; ``MrSpec`` types them."""
     params: dict = {}
     for token in tokens:
         if "=" not in token:
@@ -105,18 +126,7 @@ def _parse_params(tokens: list[str]) -> dict:
             raise InputError(f"empty parameter name in {token!r}")
         if key in params:
             raise InputError(f"duplicate parameter {key!r}")
-        if key in _INT_PARAMS:
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise InputError(f"parameter {key!r} expects an integer, got {value!r}") from None
-        elif key in _FLOAT_PARAMS:
-            number = parse_number(value)
-            if number is None:
-                raise InputError(f"parameter {key!r} expects a number, got {value!r}")
-            params[key] = number
-        else:
-            params[key] = value
+        params[key] = value
     return params
 
 

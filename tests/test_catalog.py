@@ -289,6 +289,51 @@ def test_spec_fault_raised_when_made_and_cited_by_line(tmp_path, transform, para
     assert str(loaded.value) == f"{p}: line 2: {message}"
 
 
+# (transform, params, seed, message): text values, as a catalog line gives
+# them, made into a spec in code
+TEXT_FAULTS = [
+    ("affine_numeric", {"scale": "0"}, None, "affine_numeric scale must be nonzero"),
+    ("remove_instances", {"fraction": "2"}, 1,
+     "remove_instances fraction must be in (0, 1], got 2.0"),
+    ("remove_instances", {"fraction": "half"}, 1,
+     "parameter 'fraction' expects a number, got 'half'"),
+    ("add_data_points", {"count": "0"}, 1, "add_data_points count must be >= 1, got 0"),
+    ("add_data_points", {"count": "3.5"}, 1, "parameter 'count' expects an integer, got '3.5'"),
+    ("permute_instances", {}, "-1", "seed must be >= 0, got -1"),
+    ("permute_instances", {}, "x", "parameter 'seed' expects an integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("transform, params, seed, message", TEXT_FAULTS)
+def test_text_parameter_fault_raised_as_for_a_catalog_line(tmp_path, transform, params, seed,
+                                                           message):
+    with pytest.raises(InputError) as made:
+        MrSpec("MR1", "a", transform, params, seed)
+    assert str(made.value) == message
+    words = [f"{k}={v}" for k, v in params.items()] + ([] if seed is None else [f"seed={seed}"])
+    p = tmp_path / "cat.txt"
+    p.write_text(f"MR1 a {transform} {' '.join(words)}\n")
+    with pytest.raises(InputError) as loaded:
+        load_catalog(str(p))
+    assert str(loaded.value) == f"{p}: line 1: {message}"
+
+
+@pytest.mark.parametrize("transform, text, typed, seed", [
+    ("remove_instances", {"fraction": "0.5"}, {"fraction": 0.5}, "1"),
+    ("add_data_points", {"count": "3"}, {"count": 3}, "4"),
+    ("affine_numeric", {"scale": "2", "shift": "-1.5", "columns": "x"},
+     {"scale": 2.0, "shift": -1.5, "columns": "x"}, None),
+])
+def test_text_parameters_make_the_spec_a_catalog_line_makes(tmp_path, transform, text, typed,
+                                                            seed):
+    made = MrSpec("MR1", "a", transform, text, seed)
+    assert made == MrSpec("MR1", "a", transform, typed, None if seed is None else int(seed))
+    words = [f"{k}={v}" for k, v in text.items()] + ([] if seed is None else [f"seed={seed}"])
+    p = tmp_path / "cat.txt"
+    p.write_text(f"MR1 a {transform} {' '.join(words)}\n")
+    assert load_catalog(str(p)) == [made]
+
+
 CATALOG_OK = """\
 # example catalog
 MR1 "Keep as is"      identity

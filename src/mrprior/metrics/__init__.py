@@ -1,14 +1,19 @@
 """Data-diversity metrics over source/follow-up dataset pairs.
 
-Four metrics, each reducing a pair to a non-negative raw score.  Every
-metric has the same two steps: summarize one dataset, then compare the
-source summary with the follow-up summary.
+Four metrics, each reducing a pair to a non-negative raw score:
 
 * ``rule``          absolute difference of CN2 rule counts (shared rules dropped)
 * ``anomaly``       absolute difference of kth-NN outlier counts (identical
                     outlier vectors discarded pairwise)
 * ``clustering``    absolute difference of k-means shape totals
 * ``distribution``  absolute difference of moment/spread totals
+
+``score_catalog`` is the one scoring path.  It summarizes each side with the
+metric module's ``summarize`` and compares the summaries (``compare_rules``,
+``compare_outliers``, or ``compare_totals`` of their ``total``).  The
+diagnostics hold each side's export, as ``"source"`` and ``"followup"``,
+and the compare's own fields.  ``score_pair`` and the ``*_diversity``
+helpers score one pair through it.
 
 ``MetricParams`` is the one object that carries the metrics' parameters;
 each kernel's defaults read its fields.  The kernels and their record types
@@ -55,23 +60,33 @@ class DiversityScore(Record):
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-# metric -> (its module, the module's compare(summary_s, summary_f)).  Only
-# the chosen metric's module is imported.  Each module's
-# ``summarize(dataset, params)`` looks its kernel up by name on each call, so
-# code that rebinds those module names (the benchmark's span tracer) sees
-# every call.
+# metric -> (its module, its compare(summary_s, summary_f) or None to compare
+# the summaries' ``total``).  Only the chosen module is imported.  Its
+# ``summarize`` looks the kernel up by name on each call, for the span tracer.
 _TABLE = {
     "rule": ("rules", "compare_rules"),
     "anomaly": ("anomaly", "compare_outliers"),
-    "clustering": ("clustering", "compare_clusters"),
-    "distribution": ("distribution", "compare_distributions"),
+    "clustering": ("clustering", None),
+    "distribution": ("distribution", None),
 }
 METRICS = tuple(_TABLE)
+
+
+def compare_totals(total_s: float, total_f: float) -> tuple[float, dict]:
+    """Absolute difference of the two sides' totals."""
+    return abs(total_s - total_f), {"source_total": total_s, "followup_total": total_f}
 
 
 def score_pair(pair: MrPair, metric: str, params: MetricParams | None = None) -> DiversityScore:
     """``score_catalog`` on the one pair: a failure raises its "not applicable" message."""
     return score_catalog([pair], metric, params)[0]
+
+
+def _diversity(metric: str, source, followup, params: MetricParams | None) -> tuple[float, dict]:
+    """``score_pair`` on *source* and *followup*: its raw score and diagnostics."""
+    from ..catalog import pair_from_files
+    score = score_pair(pair_from_files("pair", "pair", source, followup), metric, params)
+    return score.raw, score.diagnostics
 
 
 def score_catalog(
@@ -82,7 +97,7 @@ def score_catalog(
     *pairs* may be any iterable, a generator included.  Each pair is drawn,
     scored and dropped before the next is drawn, so a caller that streams
     its follow-ups holds one at a time.  A run of pairs with the same source
-    shares that source's summary.
+    shares that source's summary and its export.
 
     An error that ends the run (a bad metric parameter) is raised after the
     rest of the pairs are drawn, so that an error of their producer (an MR
@@ -90,7 +105,7 @@ def score_catalog(
     """
     params = params or MetricParams()
     pairs = iter(pairs)
-    source = summary = None  # the last source summarized, and its summary
+    source = summary = exported = None  # the last source summarized, its summary and export
     scores: list[DiversityScore] = []
     failures: list[str] = []
     try:
@@ -98,21 +113,26 @@ def score_catalog(
             raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
         module_name, compare_name = _TABLE[metric]
         module = import_module(f"{__name__}.{module_name}")
-        summarize, compare = module.summarize, getattr(module, compare_name)
         for pair in pairs:
             index = len(scores) + len(failures)
             try:
                 # a source that fails is tried again, and fails alike, for each pair
                 if pair.source is not source:
-                    summary, source = summarize(pair.source, params), pair.source
-                raw, diagnostics = compare(summary, summarize(pair.followup, params))
+                    summary = module.summarize(pair.source, params)
+                    source, exported = pair.source, summary.to_dict()
+                followup = module.summarize(pair.followup, params)
+                if compare_name:
+                    raw, own = getattr(module, compare_name)(summary, followup)
+                else:
+                    raw, own = compare_totals(summary.total, followup.total)
+                diagnostics = {"source": exported, "followup": followup.to_dict(), **own}
             except ApplicabilityError as exc:
                 failures.append(f"{pair.mr.id}: {exc}")
             else:
                 scores.append(DiversityScore(
                     pair.mr.id, metric, raw, catalog_index=index, diagnostics=diagnostics
                 ))
-            del pair  # draw the next pair holding no follow-up
+            pair = followup = None  # draw the next pair holding no follow-up
     except MrPriorError:
         for _ in pairs:
             pass

@@ -32,7 +32,7 @@ from ..catalog import round_half_up
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
-from . import MetricParams
+from . import MetricParams, _diversity
 
 # float64 elements in one block's rows x n approximate distances (1 MB)
 BLOCK_ELEMENTS = 2**17
@@ -138,6 +138,9 @@ class AnomalySummary:
     feature_names: tuple[str, ...]   # numeric attribute names, sorted
     raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
 
+    def to_dict(self) -> dict:
+        return self.report.to_dict()
+
 
 def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySummary:
     """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view."""
@@ -173,18 +176,12 @@ def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[
 
     surviving_s = len(report_s.indices) - len(matches)
     surviving_f = len(report_f.indices) - len(matches)
-    raw = float(abs(surviving_s - surviving_f))
-    diagnostics = {
-        "source": report_s.to_dict(),
-        "followup": report_f.to_dict(),
+    return float(abs(surviving_s - surviving_f)), {
         "identical_pairs": [[int(a), int(b)] for a, b in matches],
         "surviving_source": surviving_s,
         "surviving_followup": surviving_f,
     }
-    return raw, diagnostics
 
 
-def anomaly_diversity(
-    source: Dataset, followup: Dataset, params: MetricParams | None = None
-) -> tuple[float, dict]:
-    return compare_outliers(summarize(source, params), summarize(followup, params))
+def anomaly_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):
+    return _diversity("anomaly", source, followup, params)

@@ -23,7 +23,7 @@ import numpy as np
 from ..dataset import Dataset, NumericView, numeric_view
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
-from . import MetricParams
+from . import MetricParams, _diversity
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +37,10 @@ class ClusterSummary(Record):
     n_iters: int
     # sum of squared distances, per assignment
     objective_trace: tuple[float, ...] = field(metadata={"export": False})
+
+    @property
+    def total(self) -> float:
+        return self.between_total + self.size_total + self.within_avg
 
 
 def _canonical_order(matrix: np.ndarray) -> np.ndarray:
@@ -215,21 +219,5 @@ def summarize(dataset: Dataset, params: MetricParams | None = None) -> ClusterSu
     )
 
 
-def compare_clusters(source: ClusterSummary, followup: ClusterSummary) -> tuple[float, dict]:
-    """Absolute difference of (between_total + size_total + within_avg)."""
-    total_s = source.between_total + source.size_total + source.within_avg
-    total_f = followup.between_total + followup.size_total + followup.within_avg
-    raw = abs(total_s - total_f)
-    diagnostics = {
-        "source": source.to_dict(),
-        "followup": followup.to_dict(),
-        "source_total": total_s,
-        "followup_total": total_f,
-    }
-    return raw, diagnostics
-
-
-def clustering_diversity(
-    source: Dataset, followup: Dataset, params: MetricParams | None = None
-) -> tuple[float, dict]:
-    return compare_clusters(summarize(source, params), summarize(followup, params))
+def clustering_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):
+    return _diversity("clustering", source, followup, params)

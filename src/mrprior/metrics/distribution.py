@@ -17,7 +17,7 @@ import numpy as np
 from ..dataset import Dataset
 from ..errors import ApplicabilityError
 from ..records import Record
-from . import MetricParams
+from . import MetricParams, _diversity
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,10 @@ class DistributionSummary(Record):
     attributes: tuple[AttributeStats, ...]
     shape_total: float    # sum over attributes of skewness + kurtosis
     spread_total: float   # sum over attributes of range + variance + stddev
+
+    @property
+    def total(self) -> float:
+        return self.shape_total + self.spread_total
 
 
 def _column_stats(name: str, values: np.ndarray) -> AttributeStats:
@@ -96,21 +100,5 @@ def summarize(dataset: Dataset, params: MetricParams | None = None) -> Distribut
     return dist_summary(dataset)
 
 
-def compare_distributions(
-    source: DistributionSummary, followup: DistributionSummary
-) -> tuple[float, dict]:
-    """Absolute difference of (shape_total + spread_total) between the sides."""
-    total_s = source.shape_total + source.spread_total
-    total_f = followup.shape_total + followup.spread_total
-    raw = abs(total_s - total_f)
-    diagnostics = {
-        "source": source.to_dict(),
-        "followup": followup.to_dict(),
-        "source_total": total_s,
-        "followup_total": total_f,
-    }
-    return raw, diagnostics
-
-
 def distribution_diversity(source: Dataset, followup: Dataset) -> tuple[float, dict]:
-    return compare_distributions(dist_summary(source), dist_summary(followup))
+    return _diversity("distribution", source, followup, None)

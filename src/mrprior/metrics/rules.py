@@ -20,7 +20,7 @@ import numpy as np
 from ..dataset import Dataset, mean_imputed
 from ..errors import ApplicabilityError, InputError
 from ..records import Record
-from . import MetricParams
+from . import MetricParams, _diversity
 
 OP_EQ = "="
 OP_LE = "<="
@@ -259,18 +259,12 @@ def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:
     shared = ids_s & ids_f
     surviving_s = [r for r in source.rules if r.identity() not in shared]
     surviving_f = [r for r in followup.rules if r.identity() not in shared]
-    raw = float(abs(len(surviving_s) - len(surviving_f)))
-    diagnostics = {
-        "source": source.to_dict(),
-        "followup": followup.to_dict(),
+    return float(abs(len(surviving_s) - len(surviving_f))), {
         "shared_rules": len(shared),
         "surviving_source": len(surviving_s),
         "surviving_followup": len(surviving_f),
     }
-    return raw, diagnostics
 
 
-def rule_diversity(
-    source: Dataset, followup: Dataset, params: MetricParams | None = None
-) -> tuple[float, dict]:
-    return compare_rules(cn2_induce(source, params), cn2_induce(followup, params))
+def rule_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):
+    return _diversity("rule", source, followup, params)

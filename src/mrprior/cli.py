@@ -109,7 +109,11 @@ def _seed(text: str) -> int:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write *payload* as JSON; a non-finite number is a bug, and writes no file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"cannot write {path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -607,9 +607,10 @@ def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     if observed.size == 0:
         return None
     # a sum of cells near 1e308, or the squares of cells near 1e200, overflow
-    # to inf; numeric_view rejects such a spread when it standardizes, and
-    # nothing else reads the spread
-    with np.errstate(over="ignore"):
+    # to inf, and +inf and -inf partial sums make NaN; numeric_view rejects
+    # such a spread when it standardizes, and the metrics reject what the
+    # filled cells lead to
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = _ordered_stat(observed, np.mean)
         std = math.sqrt(_ordered_stat((observed - mean) ** 2, np.mean))
     return np.where(missing, mean, column), mean, std

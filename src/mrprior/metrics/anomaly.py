@@ -143,10 +143,21 @@ class AnomalySummary:
 
 
 def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySummary:
-    """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view."""
+    """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view.
+
+    A kth-NN score that overflows float64 (unstandardized cells near 1e154
+    or beyond) makes the dataset not applicable; the kernel's own overflow
+    warnings are silenced, as that check reports them.
+    """
     params = params or MetricParams()
     view = numeric_view(dataset, standardize=params.standardize)
-    report = knn_outliers(view, k=params.knn_k, contamination=params.contamination)
+    with np.errstate(all="ignore"):
+        report = knn_outliers(view, k=params.knn_k, contamination=params.contamination)
+    if not np.isfinite(report.scores).all():
+        raise ApplicabilityError(
+            f"dataset {dataset.name!r}: kth-NN distances overflow float64 "
+            "(standardize the features or rescale them)"
+        )
     order = np.argsort(np.array(view.feature_names))
     return AnomalySummary(report, tuple(sorted(view.feature_names)), view.raw[:, order])
 

@@ -211,12 +211,16 @@ def kmeans_summary(
 
 
 def summarize(dataset: Dataset, params: MetricParams | None = None) -> ClusterSummary:
-    """One side of the ``clustering`` metric: k-means on its numeric view."""
+    """One side of the ``clustering`` metric: k-means on its numeric view.
+
+    Unstandardized cells near the float64 limit overflow k-means' sums and
+    means; the kernel's own checks report that, so numpy's warnings are
+    silenced.
+    """
     params = params or MetricParams()
-    return kmeans_summary(
-        numeric_view(dataset, params.standardize),
-        params.kmeans_k, params.seed, params.kmeans_max_iters,
-    )
+    view = numeric_view(dataset, params.standardize)
+    with np.errstate(all="ignore"):
+        return kmeans_summary(view, params.kmeans_k, params.seed, params.kmeans_max_iters)
 
 
 def clustering_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):

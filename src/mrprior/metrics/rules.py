@@ -13,6 +13,7 @@ candidates with one AND and one popcount.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,8 @@ def _build_selectors(
 
     The equal-width cuts of a column that spans a few ULPs can round to the
     same value; a repeated cut would repeat a key and its mask, so it is
-    dropped.
+    dropped.  A column whose imputed mean or cuts overflow float64 is not
+    applicable.
     """
     selectors: list[_Selector] = []
     masks: list[np.ndarray] = []
@@ -120,9 +122,16 @@ def _build_selectors(
         col = columns[j]
         if attr.is_numeric:
             lo, hi = float(col.min()), float(col.max())
+            cuts = dict.fromkeys(lo + (hi - lo) * step / bins for step in range(1, bins))
+            # NaN or inf in the column (an imputed mean) reaches lo or hi
+            if not all(map(math.isfinite, (lo, hi, *cuts))):
+                raise ApplicabilityError(
+                    f"dataset {dataset.name!r}: attribute {attr.name!r} has an imputed "
+                    "mean or CN2 cuts that overflow float64 (rescale it)"
+                )
             if hi <= lo:
                 continue
-            for cut in dict.fromkeys(lo + (hi - lo) * step / bins for step in range(1, bins)):
+            for cut in cuts:
                 selectors.append(_Selector(j, attr.name, OP_LE, cut, cut))
                 masks.append(col <= cut)
                 selectors.append(_Selector(j, attr.name, OP_GT, cut, cut))

@@ -1,11 +1,17 @@
 """End-to-end tests for the command line front end."""
 
+import io
 import json
+import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrprior.cli import main
 
@@ -1119,3 +1125,116 @@ def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, capsys, metri
     if rc == 0:
         assert capsys.readouterr().err == ""
         assert "NaN" not in (tmp_path / "r.json").read_text()
+
+
+@pytest.mark.parametrize("table", ["sum", "range"])
+def test_overflowing_imputed_mean_exits_3_for_rule(tmp_path, monkeypatch, capsys, table):
+    # with a missing cell, CN2 imputes the mean, which overflows to inf (or
+    # NaN, when +inf and -inf partial sums meet), and its cuts with it
+    cells = NEAR_LIMIT[table][:3] + ["?"] + NEAR_LIMIT[table][4:]
+    argv = near_limit_workspace(tmp_path, monkeypatch, cells)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--metric", "rule", "--diagnostics", "d.json"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    reason = ("dataset 'd.csv': attribute 'x' has an imputed mean or CN2 cuts "
+              "that overflow float64 (rescale it)")
+    assert capsys.readouterr().err == (
+        "not applicable: metric 'rule' not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"
+    )
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("cells, extra, reason", [
+    (["1e200", "-1e200", "1", "2", "3", "4", "5", "6"], ["--metric", "anomaly", "--knn-k", "2"],
+     "dataset 'd.csv': kth-NN distances overflow float64 "
+     "(standardize the features or rescale them)"),
+    (["1e154", "5e-324", "0", "1e154", "0", "5e153", "?", "5e-324"], ["--metric", "clustering"],
+     "k-means++ seeding: squared distances overflow float64 "
+     "(standardize the features or rescale them)"),
+], ids=["anomaly", "clustering"])
+def test_overflowing_distances_exit_3_without_a_warning(tmp_path, monkeypatch, capsys,
+                                                        cells, extra, reason):
+    argv = near_limit_workspace(tmp_path, monkeypatch, cells)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, *extra, "--no-standardize", "--diagnostics", "d.json"])
+    assert [str(w.message) for w in caught] == []
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"not applicable: metric {extra[1]!r} not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"
+    )
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.json").exists()
+
+
+def test_non_finite_output_exits_4_and_writes_no_file(workspace, monkeypatch, capsys):
+    monkeypatch.setattr("mrprior.metrics.compare_totals", lambda total_s, total_f: (math.inf, {}))
+    out = str(workspace["dir"] / "ranking.json")
+    assert TestPrioritize().run(workspace, out) == 4
+    assert capsys.readouterr().err.startswith(
+        f"internal invariant violated: cannot write {out}: Out of range float values")
+    assert not Path(out).exists()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+# cells at and near the float64 extremes: sums, squares and distances of
+# them overflow; "?" is a missing cell
+EXTREME_CELLS = ["1.7e308", "-1.7e308", "1e200", "-1e200", "1e154", "5e153", "5e-324",
+                 "-5e-324", "2.2e-308", "0.0", "-0.0", "1", "?"]
+
+
+@st.composite
+def extreme_tables(draw):
+    n_rows = draw(st.integers(8, 14))
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        first = draw(st.sampled_from(EXTREME_CELLS[:-1]))   # so the column is numeric
+        rest = draw(st.lists(st.sampled_from(EXTREME_CELLS), min_size=n_rows - 1,
+                             max_size=n_rows - 1))
+        columns.append([first, *rest])
+    header = [f"x{j}" for j in range(len(columns))] + ["cls"]
+    rows = [[*cells, f"c{i % 2}"] for i, cells in enumerate(zip(*columns))]
+    return "".join(",".join(r) + "\n" for r in [header, *rows])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(table=extreme_tables())
+def test_extreme_cells_exit_0_with_valid_json_or_3_naming_every_mr(table):
+    """Every metric, standardized or not: a run ends in exit 0 with finite
+    JSON and an empty stderr, or in exit 3 with one line per MR; never a
+    warning, a traceback or another exit code."""
+    with tempfile.TemporaryDirectory() as work:
+        data, catalog = Path(work, "d.csv"), Path(work, "cat.txt")
+        data.write_text(table)
+        catalog.write_text("MR1 ident identity\nMR2 shuffle permute_instances seed=1\n"
+                           "MR3 drop remove_instances fraction=0.2 seed=2\n")
+        out, diag = Path(work, "r.json"), Path(work, "d.json")
+        for metric in ("rule", "anomaly", "clustering", "distribution"):
+            for extra in ([], ["--no-standardize"]):
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    rc = main(["prioritize", "--dataset", str(data), "--class-column", "cls",
+                               "--catalog", str(catalog), "--metric", metric, *extra,
+                               "--out", str(out), "--diagnostics", str(diag)])
+                assert [str(w.message) for w in caught] == [], (metric, extra)
+                if rc == 0:
+                    assert err.getvalue() == ""
+                    for path in (out, diag):
+                        json.loads(path.read_text(), parse_constant=_reject_constant)
+                        path.unlink()
+                else:
+                    assert rc == 3, (metric, extra, err.getvalue())
+                    lines = err.getvalue().splitlines()
+                    assert lines[0] == (
+                        f"not applicable: metric {metric!r} not applicable to every MR:")
+                    # one line per MR that cannot be scored, in catalog order
+                    ids = [line.split(":")[0] for line in lines[1:]]
+                    assert ids and ids == sorted(set(ids) & {"  MR1", "  MR2", "  MR3"})
+                    assert not out.exists() and not diag.exists()

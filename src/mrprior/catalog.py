@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import shlex
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
@@ -52,7 +53,8 @@ class MrSpec:
         _, needs_seed, required = _lookup(self.transform)
         # text values, a catalog line's or a caller's, take their parameter's type
         object.__setattr__(self, "params", {k: _typed(k, v) for k, v in self.params.items()})
-        object.__setattr__(self, "seed", _typed("seed", self.seed))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _typed("seed", self.seed))
         transform, params, seed = self.transform, self.params, self.seed
         if needs_seed and seed is None:
             raise InputError(f"transform {transform!r} is randomized and needs seed=")
@@ -98,17 +100,25 @@ _FLOAT_PARAMS = {"scale", "shift", "fraction"}
 
 
 def _typed(key: str, value):
-    """A text *value* as parameter *key*'s type; any other value as it is."""
-    if not isinstance(value, str):
-        return value
+    """*value* as parameter *key*'s type, parsed when it is text.
+
+    ``count`` and ``seed`` take an integer, and ``scale``, ``shift`` and
+    ``fraction`` a finite number; a bool is neither.  Other keys keep their
+    value.
+    """
     if key in _INT_PARAMS:
-        try:
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
             return int(value)
-        except ValueError:
-            raise InputError(f"parameter {key!r} expects an integer, got {value!r}") from None
+        raise InputError(f"parameter {key!r} expects an integer, got {value!r}")
     if key in _FLOAT_PARAMS:
-        number = parse_number(value)
-        if number is None:
+        number = parse_number(value) if isinstance(value, str) else value
+        finite = isinstance(number, numbers.Real) and math.isfinite(number)
+        if isinstance(number, bool) or not finite:
             raise InputError(f"parameter {key!r} expects a number, got {value!r}")
         return number
     return value

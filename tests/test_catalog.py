@@ -334,6 +334,35 @@ def test_text_parameters_make_the_spec_a_catalog_line_makes(tmp_path, transform,
     assert load_catalog(str(p)) == [made]
 
 
+# values given in code: an integer parameter takes an int (a numpy integer
+# too), not a float or a bool; a number parameter takes a finite real number,
+# not a bool.  Each fault gets the message a catalog line's text gets.
+TYPE_FAULTS = [
+    ("add_data_points", {"count": 2.5}, 1, "parameter 'count' expects an integer, got 2.5"),
+    ("add_data_points", {"count": True}, 1, "parameter 'count' expects an integer, got True"),
+    ("permute_instances", {}, 1.5, "parameter 'seed' expects an integer, got 1.5"),
+    ("permute_instances", {}, False, "parameter 'seed' expects an integer, got False"),
+    ("remove_instances", {"fraction": True}, 1, "parameter 'fraction' expects a number, got True"),
+    ("affine_numeric", {"scale": True}, None, "parameter 'scale' expects a number, got True"),
+    ("affine_numeric", {"shift": float("nan")}, None,
+     "parameter 'shift' expects a number, got nan"),
+    ("affine_numeric", {"shift": [1]}, None, "parameter 'shift' expects a number, got [1]"),
+]
+
+
+@pytest.mark.parametrize("transform, params, seed, message", TYPE_FAULTS)
+def test_mistyped_parameter_value_raised_as_for_a_catalog_line(transform, params, seed, message):
+    with pytest.raises(InputError) as made:
+        MrSpec("MR1", "a", transform, params, seed)
+    assert str(made.value) == message
+
+
+def test_numpy_integers_make_int_parameters():
+    made = MrSpec("MR1", "a", "add_data_points", {"count": np.int64(3)}, np.uint8(4))
+    assert made == MrSpec("MR1", "a", "add_data_points", {"count": 3}, 4)
+    assert type(made.params["count"]) is int and type(made.seed) is int
+
+
 CATALOG_OK = """\
 # example catalog
 MR1 "Keep as is"      identity

@@ -10,6 +10,13 @@ import pytest
 from mrprior import Attribute, Dataset
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--rewrite-golden", action="store_true",
+        help="overwrite tests/golden/*/expected/ with the outputs of the golden runs",
+    )
+
+
 def make_dataset(columns, class_name=None, name="fixture"):
     """Build a dataset from {name: list-of-cells} column specs.
 

@@ -3,6 +3,13 @@
 The inputs live in ``tests/golden/<case>/`` beside an ``expected/``
 directory.  The output header echoes the command-line paths, so each run
 copies the inputs into a temporary directory and names them relatively.
+
+A change that means to change outputs rewrites the expected files from the
+same runs, in order (``compare`` reads reports that earlier runs write)::
+
+    python -m pytest tests/test_golden.py --rewrite-golden
+
+and ``git diff tests/golden`` is then its list of changed outputs.
 """
 
 import shutil
@@ -13,6 +20,20 @@ import pytest
 from mrprior.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def matches_golden(request):
+    """``check(output, expected)``: the output's bytes equal the expected
+    file's, which ``--rewrite-golden`` first overwrites with the output."""
+    rewrite = request.config.getoption("--rewrite-golden")
+
+    def check(output: Path, expected: Path) -> None:
+        if rewrite:
+            shutil.copyfile(output, expected)
+        assert output.read_bytes() == expected.read_bytes(), expected.name
+
+    return check
 
 # clustering: 36 rows x 10 numeric columns (column 0 takes 5 values, a
 # constant column, signed zeros, a row repeated three times) and a class.
@@ -29,7 +50,7 @@ RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch):
+def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch, matches_golden):
     metric, source = RUNS[run]
     inputs = GOLDEN / "clustering"
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True, ignore=shutil.ignore_patterns("expected"))
@@ -38,7 +59,7 @@ def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch):
     assert main(["prioritize", "--dataset", "data.csv", "--class-column", "cls", *source,
                  "--metric", metric, "--out", rank, "--diagnostics", diag]) == 0
     for name in (rank, diag):
-        assert (tmp_path / name).read_bytes() == (inputs / "expected" / name).read_bytes(), name
+        matches_golden(tmp_path / name, inputs / "expected" / name)
 
 
 # evaluation: kills.csv is 6 MRs x 12 mutants (MR5 kills none), so compare
@@ -65,20 +86,20 @@ EVALUATION = {
 
 
 @pytest.mark.parametrize("run", list(EVALUATION))
-def test_evaluation_matches_golden_bytes(run, tmp_path, monkeypatch):
+def test_evaluation_matches_golden_bytes(run, tmp_path, monkeypatch, matches_golden):
     inputs = GOLDEN / "evaluation"
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     out = f"{run}.json"
     assert main([*EVALUATION[run], "--out", out]) == 0
-    assert (tmp_path / out).read_bytes() == (inputs / "expected" / out).read_bytes()
+    matches_golden(tmp_path / out, inputs / "expected" / out)
 
 
-def test_synth_matches_golden_bytes(tmp_path, monkeypatch):
+def test_synth_matches_golden_bytes(tmp_path, monkeypatch, matches_golden):
     expected = GOLDEN / "evaluation" / "expected"
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--mrs", "5", "--mutants", "9", "--kill-prob", "0.1,0.5,0.3,0.9,0.2",
                  "--times", "0.25:4", "--seed", "11",
                  "--out-kills", "synth_kills.csv", "--out-times", "synth_times.csv"]) == 0
     for name in ("synth_kills.csv", "synth_times.csv"):
-        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+        matches_golden(tmp_path / name, expected / name)

@@ -108,14 +108,18 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Write *payload* as JSON; a non-finite number is a bug, and writes no file."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise InvariantError(f"cannot write {path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def _write_json(*outputs: tuple[str, dict]) -> None:
+    """Write each (path, payload) as JSON, encoding every payload first: a
+    non-finite number is a bug, and then no file is written."""
+    texts = []
+    for path, payload in outputs:
+        try:
+            texts.append((path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)))
+        except ValueError as exc:
+            raise InvariantError(f"cannot write {path}: {exc}") from None
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _header(command: str, args: argparse.Namespace) -> dict:
@@ -197,14 +201,13 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
     }
     if args.top_n is not None:
         payload["top_n"] = list(top_n(ranking, args.top_n))
-    _write_json(args.out, payload)
-
+    outputs = [(args.out, payload)]
     if args.diagnostics:
-        detail = {
+        outputs.append((args.diagnostics, {
             "header": _header("prioritize", args),
             "scores": [s.to_dict() for s in scores],
-        }
-        _write_json(args.diagnostics, detail)
+        }))
+    _write_json(*outputs)
     return 0
 
 
@@ -252,7 +255,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "header": _header("evaluate", args),
         "report": report.to_dict(),
     }
-    _write_json(args.out, payload)
+    _write_json((args.out, payload))
     return 0
 
 
@@ -280,7 +283,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             "header": _header("baseline random", args),
             "report": report.to_dict(),
         }
-        _write_json(args.out or "baseline_random.json", payload)
+        _write_json((args.out or "baseline_random.json", payload))
         return 0
     if not args.coverage:
         raise InputError("baseline coverage needs --coverage")
@@ -290,7 +293,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         "header": _header("baseline coverage", args),
         "ordering": list(ordering),
     }
-    _write_json(args.out or "baseline_coverage.json", payload)
+    _write_json((args.out or "baseline_coverage.json", payload))
     return 0
 
 
@@ -348,7 +351,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "apfd": {"treatment": treatment.apfd, "baseline": baseline.apfd},
         "sizes": rows,
     }
-    _write_json(args.out, payload)
+    _write_json((args.out, payload))
     return 0
 
 

@@ -1170,13 +1170,19 @@ def test_overflowing_distances_exit_3_without_a_warning(tmp_path, monkeypatch, c
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.json").exists()
 
 
-def test_non_finite_output_exits_4_and_writes_no_file(workspace, monkeypatch, capsys):
-    monkeypatch.setattr("mrprior.metrics.compare_totals", lambda total_s, total_f: (math.inf, {}))
-    out = str(workspace["dir"] / "ranking.json")
-    assert TestPrioritize().run(workspace, out) == 4
+@pytest.mark.parametrize("compared, refused", [
+    ((math.inf, {}), "ranking.json"),                  # the raw score, in both files
+    ((1.0, {"probe": math.nan}), "diagnostics.json"),  # a diagnostics field only
+])
+def test_non_finite_output_exits_4_and_writes_no_file(workspace, monkeypatch, capsys,
+                                                      compared, refused):
+    monkeypatch.setattr("mrprior.metrics.compare_totals", lambda total_s, total_f: compared)
+    out, diag = workspace["dir"] / "ranking.json", workspace["dir"] / "diagnostics.json"
+    assert TestPrioritize().run(workspace, str(out), ["--diagnostics", str(diag)]) == 4
     assert capsys.readouterr().err.startswith(
-        f"internal invariant violated: cannot write {out}: Out of range float values")
-    assert not Path(out).exists()
+        f"internal invariant violated: cannot write {workspace['dir'] / refused}: "
+        "Out of range float values")
+    assert not out.exists() and not diag.exists()
 
 
 def _reject_constant(name):

@@ -1127,11 +1127,12 @@ def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, capsys, metri
         assert "NaN" not in (tmp_path / "r.json").read_text()
 
 
-@pytest.mark.parametrize("table", ["sum", "range"])
-def test_overflowing_imputed_mean_exits_3_for_rule(tmp_path, monkeypatch, capsys, table):
-    # with a missing cell, CN2 imputes the mean, which overflows to inf (or
-    # NaN, when +inf and -inf partial sums meet), and its cuts with it
-    cells = NEAR_LIMIT[table][:3] + ["?"] + NEAR_LIMIT[table][4:]
+# with a missing cell, CN2 imputes the column's mean, and cuts over it
+@pytest.mark.parametrize("cells", [
+    NEAR_LIMIT["sum"][:3] + ["?"] + NEAR_LIMIT["sum"][4:],   # the mean overflows to inf
+    ["-1.7e308"] * 6 + ["1.7e308"] * 2 + ["?"],              # -inf and +inf partial sums: NaN
+], ids=["inf", "nan"])
+def test_overflowing_imputed_mean_exits_3_for_rule(tmp_path, monkeypatch, capsys, cells):
     argv = near_limit_workspace(tmp_path, monkeypatch, cells)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -35,6 +35,7 @@ def matches_golden(request):
 
     return check
 
+
 # clustering: 36 rows x 10 numeric columns (column 0 takes 5 values, a
 # constant column, signed zeros, a row repeated three times) and a class.
 # Every metric ranks its catalog; k-means also ranks its follow-up files.

@@ -39,25 +39,45 @@ def matches_golden(request):
 # clustering: 36 rows x 10 numeric columns (column 0 takes 5 values, a
 # constant column, signed zeros, a row repeated three times) and a class.
 # Every metric ranks its catalog; k-means also ranks its follow-up files.
+# mixed: an ARFF source of 40 rows with missing cells, a nominal attribute
+# and a class labelled 1, 2 and 3; its catalog starts with a byte-order mark
+# and applies the transforms the first case does not.  Every metric ranks
+# the catalog and the follow-up files, one of which has its columns in
+# another order.
 CATALOG = ["--catalog", "catalog.txt"]
+FILES = ["--followup-dir", "followups"]
+DATASETS = {
+    "clustering": ["--dataset", "data.csv", "--class-column", "cls"],
+    "mixed": ["--dataset", "data.arff", "--class-column", "class"],
+}
+# case -> run -> (metric, MR source); run names are unique across cases
 RUNS = {
-    "catalog": ("clustering", CATALOG),
-    "followups": ("clustering", ["--followup-dir", "followups"]),
-    "rule": ("rule", CATALOG),
-    "anomaly": ("anomaly", CATALOG),
-    "distribution": ("distribution", CATALOG),
-    "top_n": ("anomaly", [*CATALOG, "--top-n", "2"]),
+    "clustering": {
+        "catalog": ("clustering", CATALOG),
+        "followups": ("clustering", FILES),
+        "rule": ("rule", CATALOG),
+        "anomaly": ("anomaly", CATALOG),
+        "distribution": ("distribution", CATALOG),
+        "top_n": ("anomaly", [*CATALOG, "--top-n", "2"]),
+    },
+    "mixed": {
+        f"{kind}_{metric}": (metric, source)
+        for kind, source in (("catalog", CATALOG), ("files", FILES))
+        for metric in ("rule", "anomaly", "clustering", "distribution")
+    },
 }
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_prioritize_matches_golden_bytes(run, tmp_path, monkeypatch, matches_golden):
-    metric, source = RUNS[run]
-    inputs = GOLDEN / "clustering"
+@pytest.mark.parametrize(
+    "case, run", [pytest.param(case, run, id=run) for case in RUNS for run in sorted(RUNS[case])]
+)
+def test_prioritize_matches_golden_bytes(case, run, tmp_path, monkeypatch, matches_golden):
+    metric, source = RUNS[case][run]
+    inputs = GOLDEN / case
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True, ignore=shutil.ignore_patterns("expected"))
     monkeypatch.chdir(tmp_path)
     rank, diag = f"rank_{run}.json", f"diag_{run}.json"
-    assert main(["prioritize", "--dataset", "data.csv", "--class-column", "cls", *source,
+    assert main(["prioritize", *DATASETS[case], *source,
                  "--metric", metric, "--out", rank, "--diagnostics", diag]) == 0
     for name in (rank, diag):
         matches_golden(tmp_path / name, inputs / "expected" / name)

@@ -146,10 +146,9 @@ class Dataset:
         return tuple(i for i in range(len(self.attributes)) if i != self.class_index)
 
     def numeric_indices(self) -> tuple[int, ...]:
-        """Indices of numeric non-class attributes, in attribute order."""
-        return tuple(
-            i for i in self.non_class_indices() if self.attributes[i].is_numeric
-        )
+        """Indices of numeric non-class attributes, sorted by attribute name."""
+        numeric = [i for i in self.non_class_indices() if self.attributes[i].is_numeric]
+        return tuple(sorted(numeric, key=lambda i: self.attributes[i].name))
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The dataset made of the rows at the indices *rows*, in that order."""
@@ -617,7 +616,7 @@ def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
 
 
 def numeric_view(dataset: Dataset, standardize: bool = True) -> NumericView:
-    """Column-mean-imputed matrix of the numeric non-class attributes.
+    """Column-mean-imputed matrix of the numeric non-class attributes, in name order.
 
     Standardization divides by the population standard deviation; constant
     columns are kept unscaled and flagged in ``constant_mask``.  A column

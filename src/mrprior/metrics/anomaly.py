@@ -135,7 +135,7 @@ def knn_outliers(
 @dataclass(frozen=True, eq=False)
 class AnomalySummary:
     report: OutlierReport
-    feature_names: tuple[str, ...]   # numeric attribute names, sorted
+    feature_names: tuple[str, ...]   # numeric attribute names, in name order (numeric_view's)
     raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
 
     def to_dict(self) -> dict:
@@ -158,8 +158,7 @@ def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySu
             f"dataset {dataset.name!r}: kth-NN distances overflow float64 "
             "(standardize the features or rescale them)"
         )
-    order = np.argsort(np.array(view.feature_names))
-    return AnomalySummary(report, tuple(sorted(view.feature_names)), view.raw[:, order])
+    return AnomalySummary(report, view.feature_names, view.raw)
 
 
 def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:

@@ -2,7 +2,8 @@
 
 Rows are sorted lexicographically before seeding so the run is a pure
 function of the multiset of row contents: permuting the input rows cannot
-change the outcome.  The order is exactly ``np.lexsort``'s over the
+change the outcome, nor can permuting attributes, as ``numeric_view`` gives
+the columns in name order.  The order is exactly ``np.lexsort``'s over the
 columns, found by sorting column 0 and lexsorting only its ties.  Seeding
 is k-means++; Lloyd iterations run to an assignment fixpoint or
 ``max_iters``.  A cluster left empty by an update is re-seeded to the point

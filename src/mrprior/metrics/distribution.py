@@ -79,11 +79,11 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
         for i in indices:
             column = dataset.columns[i]
             stats.append(_column_stats(dataset.attributes[i].name, column[~np.isnan(column)]))
-    # adding in attribute-name order keeps the totals bit-identical when the
-    # columns are permuted, and adding left to right (sum() compensates from
-    # Python 3.12 on) keeps them so on every Python
+    # adding in attribute-name order (numeric_indices') keeps the totals
+    # bit-identical when the columns are permuted, and adding left to right
+    # (sum() compensates from Python 3.12 on) keeps them so on every Python
     shape_total = spread_total = 0.0
-    for s in sorted(stats, key=lambda s: s.name):
+    for s in stats:
         shape_total += s.skewness + s.kurtosis
         spread_total += s.range + s.variance + s.stddev
         # a statistic that is inf or NaN leaves its totals so

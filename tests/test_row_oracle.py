@@ -5,9 +5,11 @@ row tuples (float, str or None cells), the catalog transforms written over
 those rows, and per-consumer column extraction.  Over derandomized mixed
 datasets, with missing cells, missing class labels and all-missing numeric
 columns, every transform, ``numeric_view``, ``dist_summary`` and
-``cn2_induce`` must give the same results as the oracle.  The one
-deliberate change is CN2's mean imputation, which now sums in sorted order
-like ``numeric_view``; the oracle imputes the same way.
+``cn2_induce`` must give the same results as the oracle.  Two changes are
+deliberate, and the oracle makes them too: CN2's mean imputation now sums
+in sorted order like ``numeric_view``, and ``numeric_indices`` now orders
+the numeric attributes by name, so ``numeric_view`` and ``dist_summary``
+list them in name order.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class RowDataset:
         return tuple(i for i in range(len(self.attributes)) if i != self.class_index)
 
     def numeric_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in self.non_class_indices() if self.attributes[i].is_numeric)
+        numeric = [i for i in self.non_class_indices() if self.attributes[i].is_numeric]
+        return tuple(sorted(numeric, key=lambda i: self.attributes[i].name))
 
     def replace(self, **changes) -> "RowDataset":
         fields = {"name": self.name, "attributes": self.attributes, "rows": self.rows,

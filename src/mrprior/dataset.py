@@ -30,6 +30,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -587,6 +588,41 @@ class NumericView:
     @property
     def n_rows(self) -> int:
         return int(self.matrix.shape[0])
+
+    @cached_property
+    def sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``canonical_order`` of the matrix's rows, and the rows in that order."""
+        order = canonical_order(self.matrix)
+        return order, self.matrix[order]
+
+
+def canonical_order(matrix: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort(matrix.T[::-1])``: by column 0, then 1, ...
+
+    A stable sort of column 0 places every row whose first value is unique;
+    only the runs of tied first values (NaN ties NaN, as in numpy's sort) are
+    lexsorted on the remaining columns, keyed first by their run so that each
+    run stays where it is.
+    """
+    order = np.argsort(matrix[:, 0], kind="stable")
+    first = matrix[order, 0]
+    nan = np.isnan(first)
+    tied = (first[1:] == first[:-1]) | (nan[1:] & nan[:-1])
+    if not tied.any():
+        return order
+    run = np.cumsum(np.concatenate(([True], ~tied)))
+    in_run = np.zeros(len(order), dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    at = np.flatnonzero(in_run)
+    rows = order[at]
+    order[at] = rows[np.lexsort((*matrix[rows, :0:-1].T, run[at]))]
+    return order
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits: -0.0 is not 0.0 here."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _ordered_stat(values: np.ndarray, reducer) -> float:

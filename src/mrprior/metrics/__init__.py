@@ -10,7 +10,10 @@ Four metrics, each reducing a pair to a non-negative raw score:
 
 ``score_catalog`` is the one scoring path.  It summarizes each side with the
 metric module's ``summarize`` and compares the summaries (``compare_rules``,
-``compare_outliers``, or ``compare_totals`` of their ``total``).  The
+``compare_outliers``, or ``compare_totals`` of their ``total``).  A
+follow-up's ``summarize`` gets the source summary: ``anomaly`` and
+``clustering`` reuse its kernel result when the two numeric views, rows in
+``dataset.canonical_order``, are bit-equal.  The
 diagnostics hold each side's export, as ``"source"`` and ``"followup"``,
 and the compare's own fields.  ``score_pair`` and the ``*_diversity``
 helpers score one pair through it.
@@ -97,7 +100,7 @@ def score_catalog(
     *pairs* may be any iterable, a generator included.  Each pair is drawn,
     scored and dropped before the next is drawn, so a caller that streams
     its follow-ups holds one at a time.  A run of pairs with the same source
-    shares that source's summary and its export.
+    shares that source's summary, which each follow-up's ``summarize`` gets.
 
     An error that ends the run (a bad metric parameter) is raised after the
     rest of the pairs are drawn, so that an error of their producer (an MR
@@ -120,7 +123,7 @@ def score_catalog(
                 if pair.source is not source:
                     summary = module.summarize(pair.source, params)
                     source, exported = pair.source, summary.to_dict()
-                followup = module.summarize(pair.followup, params)
+                followup = module.summarize(pair.followup, params, summary)
                 if compare_name:
                     raw, own = getattr(module, compare_name)(summary, followup)
                 else:

@@ -24,12 +24,12 @@ size (1 MB): 20,000 rows x 8 columns peak at about 3 MB traced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..catalog import round_half_up
-from ..dataset import Dataset, NumericView, numeric_view
+from ..dataset import Dataset, NumericView, numeric_view, same_bits
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
 from . import MetricParams, _diversity
@@ -120,8 +120,12 @@ def knn_outliers(
 
     # sqrt is correctly rounded and monotone: the root of the kth smallest
     # squared distance is the kth smallest distance
-    scores = np.sqrt(kth_squared)
+    return _flag(np.sqrt(kth_squared), k, contamination)
 
+
+def _flag(scores: np.ndarray, k: int, contamination: float) -> OutlierReport:
+    """The report that flags the f(n) highest of the rows' kth-NN *scores*."""
+    n = len(scores)
     n_flag = min(round_half_up(contamination * n), n - 1)
     order = np.lexsort((np.arange(n), -scores))   # score descending, then index
     flagged = tuple(np.sort(order[:n_flag]).tolist())
@@ -137,13 +141,20 @@ class AnomalySummary:
     report: OutlierReport
     feature_names: tuple[str, ...]   # numeric attribute names, in name order (numeric_view's)
     raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
+    # the view's rows in canonical order and its row at each place (empty: matches no view)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    order: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     def to_dict(self) -> dict:
         return self.report.to_dict()
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySummary:
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> AnomalySummary:
     """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view.
+
+    *source* is a summary made with the same *params*.  When its rows, in
+    ``dataset.canonical_order``, are bit-equal to this view's, each row takes
+    the score at its place in that order: a score depends only on the rows.
 
     A kth-NN score that overflows float64 (unstandardized cells near 1e154
     or beyond) makes the dataset not applicable; the kernel's own overflow
@@ -151,14 +162,20 @@ def summarize(dataset: Dataset, params: MetricParams | None = None) -> AnomalySu
     """
     params = params or MetricParams()
     view = numeric_view(dataset, standardize=params.standardize)
+    order, rows = view.sorted_rows
     with np.errstate(all="ignore"):
-        report = knn_outliers(view, k=params.knn_k, contamination=params.contamination)
+        if source is not None and same_bits(rows, source.rows):
+            scores = np.empty(view.n_rows)
+            scores[order] = source.report.scores[source.order]
+            report = _flag(scores, params.knn_k, params.contamination)
+        else:
+            report = knn_outliers(view, k=params.knn_k, contamination=params.contamination)
     if not np.isfinite(report.scores).all():
         raise ApplicabilityError(
             f"dataset {dataset.name!r}: kth-NN distances overflow float64 "
             "(standardize the features or rescale them)"
         )
-    return AnomalySummary(report, view.feature_names, view.raw)
+    return AnomalySummary(report, view.feature_names, view.raw, rows, order)
 
 
 def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:

@@ -1,13 +1,12 @@
 """Cluster-shape diversity via seeded k-means.
 
-Rows are sorted lexicographically before seeding so the run is a pure
-function of the multiset of row contents: permuting the input rows cannot
-change the outcome, nor can permuting attributes, as ``numeric_view`` gives
-the columns in name order.  The order is exactly ``np.lexsort``'s over the
-columns, found by sorting column 0 and lexsorting only its ties.  Seeding
-is k-means++; Lloyd iterations run to an assignment fixpoint or
-``max_iters``.  A cluster left empty by an update is re-seeded to the point
-farthest from its currently assigned centroid.
+Rows are put in ``dataset.canonical_order`` (``np.lexsort``'s) before
+seeding, so the run is a pure function of the multiset of rows: neither row
+nor attribute order can change it (``numeric_view`` gives the columns in
+name order), and a follow-up whose sorted rows are bit-equal to the
+source's takes the source's summary.  Seeding is k-means++; Lloyd
+iterations run to an assignment fixpoint or ``max_iters``.  A cluster left
+empty by an update takes the point farthest from its own centroid.
 
 Every squared distance equals ``((p - c)**2).sum(-1)`` bit for bit: the
 d squares are added in the fixed order of numpy's pairwise summation of a
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import Dataset, NumericView, numeric_view
+from ..dataset import Dataset, NumericView, numeric_view, same_bits
 from ..errors import ApplicabilityError, InputError, InvariantError
 from ..records import Record
 from . import MetricParams, _diversity
@@ -38,34 +37,12 @@ class ClusterSummary(Record):
     n_iters: int
     # sum of squared distances, per assignment
     objective_trace: tuple[float, ...] = field(metadata={"export": False})
+    points: np.ndarray = field(   # the rows, sorted; the empty default matches no view
+        default_factory=lambda: np.empty((0, 0)), repr=False, metadata={"export": False})
 
     @property
     def total(self) -> float:
         return self.between_total + self.size_total + self.within_avg
-
-
-def _canonical_order(matrix: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort(matrix.T[::-1])``: by column 0, then 1, ...
-
-    A stable sort of column 0 places every row whose first value is unique;
-    only the runs of tied first values (NaN ties NaN, as in numpy's sort) are
-    lexsorted on the remaining columns, keyed first by their run so that each
-    run stays where it is.
-    """
-    order = np.argsort(matrix[:, 0], kind="stable")
-    first = matrix[order, 0]
-    nan = np.isnan(first)
-    tied = (first[1:] == first[:-1]) | (nan[1:] & nan[:-1])
-    if not tied.any():
-        return order
-    run = np.cumsum(np.concatenate(([True], ~tied)))
-    in_run = np.zeros(len(order), dtype=bool)
-    in_run[1:] = tied
-    in_run[:-1] |= tied
-    at = np.flatnonzero(in_run)
-    rows = order[at]
-    order[at] = rows[np.lexsort((*matrix[rows, :0:-1].T, run[at]))]
-    return order
 
 
 def _sum_rows(a: np.ndarray) -> None:
@@ -145,7 +122,7 @@ def kmeans_summary(
     if n < k:
         raise ApplicabilityError(f"need at least k={k} rows, got {n}")
 
-    points = view.matrix[_canonical_order(view.matrix)]
+    points = view.sorted_rows[1]
     cols = np.ascontiguousarray(points.T)
     buf = np.empty((k, *cols.shape))
     rng = np.random.default_rng(seed)
@@ -208,18 +185,22 @@ def kmeans_summary(
         within_avg=within_avg,
         n_iters=iters,
         objective_trace=tuple(trace),
+        points=points,
     )
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None) -> ClusterSummary:
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> ClusterSummary:
     """One side of the ``clustering`` metric: k-means on its numeric view.
 
-    Unstandardized cells near the float64 limit overflow k-means' sums and
-    means; the kernel's own checks report that, so numpy's warnings are
-    silenced.
+    *source*, a summary made with the same *params*, is returned when its
+    sorted rows are bit-equal to this view's.  Unstandardized cells near the
+    float64 limit overflow k-means' sums and means; the kernel's own checks
+    report that, so numpy's warnings are silenced.
     """
     params = params or MetricParams()
     view = numeric_view(dataset, params.standardize)
+    if source is not None and same_bits(view.sorted_rows[1], source.points):
+        return source
     with np.errstate(all="ignore"):
         return kmeans_summary(view, params.kmeans_k, params.seed, params.kmeans_max_iters)
 

@@ -95,8 +95,10 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
     return DistributionSummary(tuple(stats), shape_total, spread_total)
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None) -> DistributionSummary:
-    """One side of the ``distribution`` metric; it has no parameters."""
+def summarize(
+    dataset: Dataset, params: MetricParams | None = None, source=None
+) -> DistributionSummary:
+    """One side of the ``distribution`` metric; it has no parameters and reuses nothing."""
     return dist_summary(dataset)
 
 

@@ -256,8 +256,8 @@ def cn2_induce(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
     return RuleSet(tuple(rules), class_attr.values[default_code])
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
-    """One side of the ``rule`` metric: its CN2 rule set."""
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> RuleSet:
+    """One side of the ``rule`` metric: its CN2 rule set; *source* goes unused."""
     return cn2_induce(dataset, params)
 
 

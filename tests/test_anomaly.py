@@ -352,14 +352,15 @@ class TestAnomalyDiversity:
 
         monkeypatch.setattr(anomaly, "numeric_view", counting)
         rng = np.random.default_rng(27)
-        d = random_dataset(rng, n_rows=40, missing=0.1)
-        names = [a.name for i, a in enumerate(d.attributes) if i in d.numeric_indices()]
-        unscaled = numeric_view(d, standardize=False).matrix[:, np.argsort(names)]
+        # numeric columns out of name order, with missing cells to impute
+        columns = {name: [1.0] + [None if rng.random() < 0.1 else float(v)
+                                  for v in rng.normal(0.0, 3.0, 39)] for name in "bac"}
+        d = make_dataset({**columns, "cls": ["p", "q"] * 20}, class_name="cls")
         summary = anomaly.summarize(d, MetricParams(knn_k=3, contamination=0.1))
         assert views == [True]
         # the matched vectors are the imputed, unstandardized rows, bit for bit
-        assert summary.feature_names == tuple(sorted(names))
-        assert summary.raw.tobytes() == unscaled.tobytes()
+        assert summary.feature_names == ("a", "b", "c")
+        assert summary.raw.tobytes() == numeric_view(d, standardize=False).raw.tobytes()
 
     def test_planted_outlier_always_flagged(self):
         rng = np.random.default_rng(26)

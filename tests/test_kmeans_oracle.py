@@ -12,11 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrprior.dataset import NumericView
+from mrprior.dataset import NumericView, canonical_order
 from mrprior.errors import ApplicabilityError
 from mrprior.metrics.clustering import (
     ClusterSummary,
-    _canonical_order,
     _sq_distances,
     kmeans_summary,
 )
@@ -190,5 +189,5 @@ def test_row_order_equals_lexsort(matrix, data):
         mask = np.random.default_rng(len(matrix)).random(matrix.shape) < 0.3
         matrix[mask] = special
     expected = np.lexsort(matrix.T[::-1])
-    assert np.array_equal(_canonical_order(matrix), expected)
+    assert np.array_equal(canonical_order(matrix), expected)
 

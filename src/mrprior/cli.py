@@ -18,7 +18,9 @@ produce byte-identical files.
 
 Each subcommand imports the modules it runs when it runs: at module level
 this file loads only what the parser needs, so ``evaluate`` never loads the
-dataset layer or a metric, and ``prioritize`` loads only its metric.
+dataset layer or a metric, and ``prioritize`` loads only its metric.  Only
+``prioritize --followup-dir`` loads ``multiprocessing``: it parses its files
+in forked worker processes (``_parsed_in_workers``).
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-from typing import TYPE_CHECKING
+from collections import deque
+from contextlib import ExitStack, contextmanager
+from dataclasses import fields, replace
+from functools import partial
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .errors import ApplicabilityError, InputError, InvariantError, MrPriorError
@@ -150,10 +156,81 @@ def _parse_class_column(text: str | None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_prioritize(args: argparse.Namespace) -> int:
-    from .catalog import build_pairs, load_catalog, pair_from_files
-    from .prioritizer import normalize, rank, top_n
+def _followup_files(directory: str) -> dict[str, str]:
+    """MR id -> path of each .csv and .arff file in *directory*, in filename
+    order; the MR id is the name without its extension."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise InputError(f"cannot list {directory}: {exc}") from exc
+    files: dict[str, str] = {}
+    for name in names:
+        if not name.lower().endswith((".csv", ".arff")):
+            continue
+        mr_id = os.path.splitext(name)[0]
+        if mr_id in files:
+            raise InputError(f"{directory}: {files[mr_id]} and {name} "
+                             f"both give the MR id {mr_id!r}")
+        files[mr_id] = name
+    if not files:
+        raise InputError(f"{directory}: no .csv or .arff follow-up files")
+    return {mr_id: os.path.join(directory, name) for mr_id, name in files.items()}
 
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end the worker once *parent* has died."""
+    import threading
+    import time
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@contextmanager
+def _parsed_in_workers(paths: list[str], load) -> Iterator[Iterator[Dataset]]:
+    """The datasets ``load(path)`` makes of *paths*, in order, parsed in
+    worker processes.
+
+    One forked worker per CPU this process may run on, and no more than
+    files.  The workers are forked, and the jobs submitted, on entry, so
+    that the caller's own work overlaps them; the CLI enters before it
+    imports numpy, so it forks while it has one thread.  Each worker holds
+    at most one job, so at most that many parsed datasets wait beside the
+    one drawn.  Each is rebuilt here as a Dataset with read-only columns,
+    which runs its validation again.  An error of a file is raised when
+    that file's dataset is drawn.  On exit the jobs not started are
+    cancelled and the workers are joined; a worker whose parent dies ends
+    itself.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(paths), len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+    try:
+        todo = iter(paths)
+        jobs = deque(pool.submit(load, path) for path in islice(todo, workers))
+
+        def datasets() -> Iterator[Dataset]:
+            from .dataset import read_only
+
+            while jobs:
+                parsed = jobs.popleft().result()
+                jobs.extend(pool.submit(load, path) for path in islice(todo, 1))
+                yield replace(parsed, columns=tuple(map(read_only, parsed.columns)))
+                del parsed   # hold no follow-up while the next one is awaited
+
+        yield datasets()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def cmd_prioritize(args: argparse.Namespace) -> int:
     if not args.dataset:
         raise InputError("prioritize needs --dataset")
     if not args.metric:
@@ -161,38 +238,36 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
     if bool(args.catalog) == bool(args.followup_dir):
         raise InputError("prioritize needs exactly one of --catalog or --followup-dir")
 
-    class_column = _parse_class_column(args.class_column)
-    source = _load_dataset(
-        args.dataset, args.format, header=not args.no_header, class_column=class_column
-    )
+    load = partial(_load_dataset, fmt=args.format, header=not args.no_header,
+                   class_column=_parse_class_column(args.class_column))
+    with ExitStack() as stack:
+        listing_error = None
+        if args.followup_dir:
+            # the follow-ups start parsing before the source does; an error of
+            # the source still comes first, and then one of the listing
+            try:
+                files = _followup_files(args.followup_dir)
+            except InputError as exc:
+                listing_error = exc
+            else:
+                followups = stack.enter_context(
+                    _parsed_in_workers(list(files.values()), load))
+        source = load(args.dataset)
+        if listing_error is not None:
+            raise listing_error
 
-    if args.catalog:
-        specs = load_catalog(args.catalog)
-        pairs = build_pairs(specs, source)
-    else:
-        directory = args.followup_dir
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError as exc:
-            raise InputError(f"cannot list {directory}: {exc}") from exc
-        names = [n for n in names if n.lower().endswith((".csv", ".arff"))]
-        if not names:
-            raise InputError(f"{directory}: no .csv or .arff follow-up files")
+        from .catalog import build_pairs, load_catalog, pair_from_files
+        from .prioritizer import normalize, rank, top_n
 
-        def load_pairs():
-            # one file per pair drawn, in filename order; the follow-up is
-            # passed on unnamed, so nothing holds it while the next one loads
-            for filename in names:
-                mr_id = os.path.splitext(filename)[0]
-                path = os.path.join(directory, filename)
-                yield pair_from_files(mr_id, mr_id, source, _load_dataset(
-                    path, args.format, header=not args.no_header, class_column=class_column
-                ))
-
-        pairs = load_pairs()
-
-    params = MetricParams(**{f.name: getattr(args, f.name) for f in fields(MetricParams)})
-    scores = normalize(score_catalog(pairs, args.metric, params))
+        if args.catalog:
+            pairs = build_pairs(load_catalog(args.catalog), source)
+        else:
+            # one follow-up per pair drawn, in filename order; map names none,
+            # so nothing holds it while the next one is awaited
+            pairs = map(lambda mr_id, followup: pair_from_files(mr_id, mr_id, source, followup),
+                        files, followups)
+        params = MetricParams(**{f.name: getattr(args, f.name) for f in fields(MetricParams)})
+        scores = normalize(score_catalog(pairs, args.metric, params))
     ranking = rank(scores)
 
     payload = {

@@ -12,6 +12,7 @@ same runs, in order (``compare`` reads reports that earlier runs write)::
 and ``git diff tests/golden`` is then its list of changed outputs.
 """
 
+import os
 import shutil
 from pathlib import Path
 
@@ -72,6 +73,21 @@ RUNS = {
     "case, run", [pytest.param(case, run, id=run) for case in RUNS for run in sorted(RUNS[case])]
 )
 def test_prioritize_matches_golden_bytes(case, run, tmp_path, monkeypatch, matches_golden):
+    prioritize_golden(case, run, tmp_path, monkeypatch, matches_golden)
+
+
+@pytest.mark.parametrize("case, run", [
+    pytest.param(case, run, id=run)
+    for case in RUNS for run in sorted(RUNS[case]) if RUNS[case][run][1] is FILES
+])
+def test_followup_files_parsed_by_one_worker_match_golden_bytes(
+        case, run, tmp_path, monkeypatch, matches_golden):
+    # the follow-up files are parsed by one worker per CPU; here there is one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    prioritize_golden(case, run, tmp_path, monkeypatch, matches_golden)
+
+
+def prioritize_golden(case, run, tmp_path, monkeypatch, matches_golden):
     metric, source = RUNS[case][run]
     inputs = GOLDEN / case
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True, ignore=shutil.ignore_patterns("expected"))

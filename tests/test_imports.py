@@ -23,16 +23,19 @@ KERNEL_MODULES = {f"mrprior.metrics.{module}" for module in KERNELS.values()}
 # what only prioritize runs
 PRIORITIZE_ONLY = {"mrprior.catalog", "mrprior.dataset", "mrprior.prioritizer", *KERNEL_MODULES}
 KILLS = ["--kills", "kills.csv", "--times", "times.csv"]
+# what only a --followup-dir run loads: its worker pool
+POOL = {"multiprocessing", "concurrent.futures"}
 
 
 def loaded_modules(cwd, argv=None) -> set[str]:
-    """numpy and the mrprior modules loaded by ``import mrprior.cli`` and,
-    given *argv*, one ``main(argv)`` call that must succeed."""
+    """numpy, the worker pool's modules and the mrprior modules loaded by
+    ``import mrprior.cli`` and, given *argv*, one ``main(argv)`` call that
+    must succeed."""
     lines = ["import json, sys, mrprior.cli"]
     if argv is not None:
         lines.append(f"assert mrprior.cli.main({argv!r}) == 0")
-    lines.append(
-        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.startswith('mrprior')]))")
+    lines.append("print(json.dumps([m for m in sys.modules if m.startswith('mrprior')"
+                 f" or m in {['numpy', *sorted(POOL)]!r}]))")
     code = "\n".join(lines)
     out = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
@@ -49,7 +52,7 @@ def evaluation_inputs(tmp_path):
 def test_cli_import_loads_no_numpy_and_no_command_module(tmp_path):
     modules = loaded_modules(tmp_path)
     assert "numpy" not in modules
-    assert not modules & {*PRIORITIZE_ONLY, "mrprior.evaluation"}, modules
+    assert not modules & {*PRIORITIZE_ONLY, "mrprior.evaluation", *POOL}, modules
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,7 +67,7 @@ def test_cli_import_loads_no_numpy_and_no_command_module(tmp_path):
         "synth"])
 def test_evaluation_side_loads_no_dataset_catalog_or_metric(evaluation_inputs, argv):
     modules = loaded_modules(evaluation_inputs, argv)
-    assert not modules & PRIORITIZE_ONLY, modules
+    assert not modules & {*PRIORITIZE_ONLY, *POOL}, modules
 
 
 @pytest.mark.parametrize("metric", sorted(KERNELS))
@@ -74,7 +77,15 @@ def test_prioritize_loads_only_its_metric(tmp_path, metric):
         "prioritize", "--dataset", "data.csv", "--class-column", "cls",
         "--catalog", "catalog.txt", "--metric", metric, "--out", "r.json"])
     assert modules & KERNEL_MODULES == {f"mrprior.metrics.{KERNELS[metric]}"}
-    assert "mrprior.evaluation" not in modules
+    assert not modules & {"mrprior.evaluation", *POOL}, modules
+
+
+def test_only_a_followup_dir_run_loads_the_worker_pool(tmp_path):
+    shutil.copytree(GOLDEN / "clustering", tmp_path, dirs_exist_ok=True)
+    modules = loaded_modules(tmp_path, [
+        "prioritize", "--dataset", "data.csv", "--class-column", "cls",
+        "--followup-dir", "followups", "--metric", "clustering", "--out", "r.json"])
+    assert modules >= POOL
 
 
 def test_every_public_name_resolves():

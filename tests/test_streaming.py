@@ -4,8 +4,12 @@
 pair per step, and ``score_catalog`` draws, scores and drops each pair
 before it draws the next.  These tests pin the error order that making
 every pair first used to give, and that no scored follow-up stays alive.
+``--followup-dir`` files are parsed in worker processes, at most one job
+per worker ahead of the pair drawn; the error order is still filename
+order.
 """
 
+import os
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -14,7 +18,6 @@ import numpy as np
 import pytest
 
 import mrprior.catalog
-import mrprior.cli
 from mrprior.catalog import MrPair, MrSpec, apply_mr, build_pairs
 from mrprior.cli import main
 from mrprior.errors import ApplicabilityError, InputError
@@ -112,29 +115,103 @@ class TestFollowupDir:
         assert self.run(tmp_path / "good", good, ["--contamination", "2"]) == 2
         assert "contamination must be in" in capsys.readouterr().err
 
-    def test_files_are_loaded_one_at_a_time(self, tmp_path, monkeypatch):
-        files = {f"f{i}.csv": f"x,y\n1,{i}\n2,3\n3,5\n" for i in range(4)}
-        alive = track(monkeypatch, mrprior.cli, "_load_dataset", skip=1)
+    @pytest.mark.parametrize("large", ["good", "bad"])
+    def test_the_first_bad_file_in_filename_order_wins_over_one_that_fails_sooner(
+            self, tmp_path, capsys, monkeypatch, large):
+        # two workers: b_small fails at once, while a_large is still parsed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        body = "".join(f"{i},{i % 7}\n" for i in range(60_000))
+        files = {"a_large.csv": "x,y\n" + body + ("3\n" if large == "bad" else ""),
+                 "b_small.csv": "x,y\n1\n", "c_ok.csv": "x,y\n1,2\n"}
+        # a later --metric wins: the distribution metric scores a_large quickly
+        assert self.run(tmp_path, files, ["--metric", "distribution"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("a_large.csv" in err) == (large == "bad")
+        assert ("b_small.csv" in err) == (large == "good")
+
+    @pytest.mark.parametrize("files", [
+        None, {}, {"a.csv": "x,y\n1,2\n", "a.arff": ""}, {"a.csv": "", "b.csv": "x\n1\n"},
+    ], ids=["no-directory", "no-files", "same-stem", "bad-file"])
+    def test_a_source_error_comes_before_a_listing_or_followup_error(
+            self, tmp_path, capsys, files):
+        source = tmp_path / "data.csv"
+        source.write_text("x,y\n1,2\n3\n")
+        followups = tmp_path / "followups"
+        if files is not None:
+            followups.mkdir()
+            for name, text in files.items():
+                (followups / name).write_text(text)
+        assert main(["prioritize", "--dataset", str(source), "--followup-dir", str(followups),
+                     "--metric", "distribution", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{source}: line 3" in err, err
+
+    @pytest.mark.parametrize("names", [("a.csv", "a.arff"), ("a.csv", "a.CSV")])
+    def test_two_files_with_one_stem_are_refused_before_any_parse(
+            self, tmp_path, capsys, monkeypatch, names):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        files = {"0.csv": "x,y\n1,2\n", **{name: "x,y\n1,2\n" for name in names}}
+        assert self.run(tmp_path, files) == 2
+        err = capsys.readouterr().err.strip()
+        first, second = sorted(names)
+        assert err == (f"error: {tmp_path / 'followups'}: {first} and {second} "
+                       f"both give the MR id 'a'")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_at_most_one_parsed_followup_per_worker_waits_beside_the_scored_one(
+            self, tmp_path, monkeypatch, cpus):
+        import concurrent.futures
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                submitted.append(args[1])
+                return super().submit(*args, **kwargs)
+
+        sizes, submitted, drawn, refs = [], [], [], []
+        make_pair = mrprior.catalog.pair_from_files
+
+        def pair_from_files(mr_id, name, source, followup):
+            # every follow-up drawn before this one is gone
+            assert [ref() for ref in refs] == [None] * len(refs), mr_id
+            refs.append(weakref.ref(followup))
+            drawn.append((mr_id, len(submitted)))
+            return make_pair(mr_id, name, source, followup)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(mrprior.catalog, "pair_from_files", pair_from_files)
+        files = {f"f{i:02d}.csv": f"x,y\n1,{i}\n2,3\n3,5\n" for i in range(12)}
         assert self.run(tmp_path, files) == 0
-        assert alive() == []
+        assert sizes == [cpus]
+        assert [os.path.basename(path) for path in submitted] == sorted(files)
+        # when the k-th follow-up is drawn, the jobs submitted are the k
+        # drawn and at most one per worker beyond them
+        assert drawn == [(f"f{k - 1:02d}", min(12, k + cpus)) for k in range(1, 13)]
+        assert [ref() for ref in refs] == [None] * 12
 
 
-def track(monkeypatch, module, name, skip=0):
+def track(monkeypatch, module, name):
     """Wrap *module.name* so that each call first checks that the datasets
-    made by earlier calls are gone; the first *skip* results are exempt.
-    Returns a function that lists the tracked datasets still alive."""
+    made by earlier calls are gone.  Returns a function that lists the
+    tracked datasets still alive."""
     original = getattr(module, name)
     refs = []
 
     def tracked(*args, **kwargs):
-        nonlocal skip
         still = [ref() for ref in refs if ref() is not None]
         assert not still, [d.name for d in still]
         result = original(*args, **kwargs)
-        if skip:
-            skip -= 1
-        else:
-            refs.append(weakref.ref(result))
+        refs.append(weakref.ref(result))
         return result
 
     monkeypatch.setattr(module, name, tracked)

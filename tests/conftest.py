@@ -64,6 +64,11 @@ def rows(dataset):
     return tuple(zip(*cells))
 
 
+def flag_count(n, contamination):
+    """f(n): the rows flagged among n, min(round_half_up(c n), n - 1)."""
+    return min(int(math.floor(contamination * n + 0.5)), n - 1)
+
+
 def random_dataset(rng: np.random.Generator, n_rows=None, n_attrs=None, missing=0.0,
                    name="random"):
     """Random mixed-kind dataset with a nominal class attribute."""

@@ -6,11 +6,9 @@ from operator import add
 import numpy as np
 import pytest
 
-from mrprior.catalog import MrSpec, apply_mr
 from mrprior.dataset import numeric_view
 from mrprior.errors import ApplicabilityError, InputError
-from mrprior.metrics import MetricParams
-from mrprior.metrics.clustering import clustering_diversity, kmeans_summary
+from mrprior.metrics.clustering import kmeans_summary
 
 from conftest import make_dataset, random_dataset
 
@@ -115,58 +113,6 @@ class TestKmeansSummary:
             kmeans_summary(view, k=11)
         with pytest.raises(InputError):
             kmeans_summary(view, k=2, max_iters=0)
-
-
-class TestClusteringDiversity:
-    def test_identity_pair_scores_zero(self):
-        rng = np.random.default_rng(19)
-        for run in range(5):
-            ds = random_dataset(rng, name=f"ident{run}")
-            while not ds.numeric_indices():
-                ds = random_dataset(rng, name=f"ident{run}")
-            raw, _ = clustering_diversity(ds, ds, MetricParams(kmeans_k=min(3, ds.n_rows)))
-            assert raw == 0.0
-
-    def test_permuted_instances_score_zero(self):
-        # row order must not leak into the summaries at all
-        rng = np.random.default_rng(23)
-        for run in range(10):
-            ds = random_dataset(rng, n_rows=30, name=f"perm{run}")
-            mr = MrSpec(
-                id=f"p{run}",
-                name="shuffle",
-                transform="permute_instances",
-                params={},
-                seed=run,
-            )
-            followup = apply_mr(mr, ds)
-            raw, _ = clustering_diversity(ds, followup, MetricParams(kmeans_k=3, seed=run))
-            assert raw == 0.0
-
-    def test_raw_matches_reported_totals(self):
-        rng = np.random.default_rng(31)
-        source = random_dataset(rng, n_rows=50, name="src")
-        mr = MrSpec(
-            id="r1", name="thin", transform="remove_instances",
-            params={"fraction": 0.4}, seed=2,
-        )
-        followup = apply_mr(mr, source)
-        raw, diag = clustering_diversity(source, followup, MetricParams(kmeans_k=3, seed=9))
-        assert raw == abs(diag["source_total"] - diag["followup_total"])
-        assert diag["source"]["k"] == 3
-        assert diag["followup"]["sizes"]
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(37)
-        source = random_dataset(rng, n_rows=40, name="sym")
-        mr = MrSpec(
-            id="d1", name="double", transform="duplicate_instances",
-            params={"fraction": 0.5}, seed=4,
-        )
-        followup = apply_mr(mr, source)
-        forward, _ = clustering_diversity(source, followup, MetricParams(kmeans_k=3, seed=1))
-        backward, _ = clustering_diversity(followup, source, MetricParams(kmeans_k=3, seed=1))
-        assert forward == backward
 
 
 def test_between_total_adds_left_to_right():

@@ -89,11 +89,6 @@ class TestDistSummary:
 
 
 class TestDistributionDiversity:
-    def test_identity_is_zero(self):
-        d = make_dataset({"x": [1, 2, 3]})
-        raw, _ = distribution_diversity(d, d)
-        assert raw == 0.0
-
     def test_scale_by_two_frozen_value(self):
         d = make_dataset({"x": [1, 2, 3]})
         f = apply_mr(MrSpec("M", "s", "affine_numeric", {"scale": 2.0}), d)
@@ -110,20 +105,6 @@ class TestDistributionDiversity:
             )
             raw, _ = distribution_diversity(d, f)
             assert raw <= 1e-9
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(13)
-        d = random_dataset(rng)
-        f = apply_mr(MrSpec("M", "s", "add_data_points", {"count": 9}, seed=1), d)
-        assert distribution_diversity(d, f)[0] == distribution_diversity(f, d)[0]
-
-    def test_non_negative(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            d = random_dataset(rng)
-            f = random_dataset(rng)
-            raw, _ = distribution_diversity(d, f)
-            assert raw >= 0.0
 
 
 def test_totals_add_left_to_right_in_name_order():

@@ -1,10 +1,10 @@
-"""Property tests over small random mixed datasets.
+"""Property tests over generated tables: small mixed ones and wide ones.
 
-* MRs that change nothing a metric can see (identity, a row shuffle) score
-  exactly 0.0 under every metric.  A permutation of the attributes scores
-  exactly 0.0, with equal source and follow-up summaries, under the three
-  metrics that read the numeric features in name order (``rule`` depends on
-  attribute order: CN2 breaks ties by it).
+* ``INVARIANT``, what each metric cannot see: an MR scores exactly 0.0
+  under each metric of its row, so it is never ranked by float noise.
+* Laws of every metric and MR: the raw score is symmetric, equals the
+  difference of the compare's fields, and is |f(n_source) - f(n_followup)|
+  under ``anomaly``; the identity shares every rule and flagged outlier.
 * ``score_catalog``, which summarizes each source once and shares it, gives
   the same raw scores and diagnostics as scoring each pair on its own, and
   the same for a generator of pairs as for their list.
@@ -15,6 +15,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,13 +23,13 @@ from hypothesis import strategies as st
 from mrprior.catalog import MrPair, MrSpec, apply_mr, build_pairs
 from mrprior.errors import ApplicabilityError
 from mrprior.dataset import numeric_view
-from mrprior.metrics import METRICS, anomaly, score_catalog, score_pair
+from mrprior.metrics import METRICS, MetricParams, anomaly, score_catalog, score_pair
 from mrprior.metrics.clustering import kmeans_summary
 from mrprior.metrics.distribution import dist_summary
 from mrprior.metrics.rules import cn2_induce
 from mrprior.prioritizer import normalize, rank
 
-from conftest import make_dataset
+from conftest import flag_count, make_dataset, random_dataset
 
 # derandomized, so that every run checks the same examples
 COMMON = dict(deadline=None, derandomize=True, database=None)
@@ -68,29 +69,142 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-@settings(max_examples=40, **COMMON)
-@given(source=mixed_datasets(), seed=st.integers(0, 2**16))
-def test_identity_and_row_shuffle_score_exactly_zero(source, seed):
-    catalog = [
-        MrSpec("MR1", "ident", "identity"),
-        MrSpec("MR2", "shuffle", "permute_instances", seed=seed),
-    ]
-    pairs = list(build_pairs(catalog, source))
-    for metric in METRICS:
-        for score in score_catalog(pairs, metric):
-            assert score.raw == 0.0, (metric, score.mr_id, score.raw)
+@st.composite
+def wide_datasets(draw):
+    """``random_dataset``: 6-200 rows, 1-10 attributes, at least one numeric."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = random_dataset(rng, n_rows=draw(st.integers(6, 200)),
+                            n_attrs=draw(st.integers(1, 10)),
+                            missing=draw(st.sampled_from([0.0, 0.1])), name="wide")
+    assume(source.numeric_indices())
+    return source
 
 
-@settings(max_examples=40, **COMMON)
-@given(source=mixed_datasets(), seed=st.integers(0, 2**16))
-def test_attribute_permutation_scores_exactly_zero(source, seed):
-    pairs = list(build_pairs([MrSpec("MR1", "perm", "permute_attributes", seed=seed)], source))
-    # a seed may draw the identity permutation (seed=1 on three attributes does)
-    assume([a.name for a in pairs[0].followup.attributes] != [a.name for a in source.attributes])
-    for metric in ("distribution", "anomaly", "clustering"):
-        [score] = score_catalog(pairs, metric)
-        assert score.raw == 0.0, (metric, score.raw)
-        assert score.diagnostics["source"] == score.diagnostics["followup"], metric
+def standardized(pair, params) -> bool:
+    return params.standardize
+
+
+def three_to_7_numeric(pair, params) -> bool:
+    # a zero column moves a last bit of k-means where it changes how numpy groups
+    # a sum: as the second column (a mean over one column adds pairwise, over two
+    # row by row) and as the eighth (eight running sums add each distance)
+    return 3 <= len(pair.followup.numeric_indices()) <= 7
+
+
+NOT_RULE = ("anomaly", "clustering", "distribution")
+
+# What each metric cannot see.  An MR, as a catalog line, maps to the metrics
+# under which it must score exactly 0.0, under default parameters with and
+# without standardization; a metric's condition, if any, names the pairs and
+# parameters for which its cell holds.  {seed} is drawn; {rotation} maps each
+# class value to the next, {codes} maps each to its index.  Cells left out
+# are sensitivities (README, "What it computes").
+INVARIANT = {
+    "identity": dict.fromkeys(METRICS),
+    "permute_instances seed={seed}": dict.fromkeys(METRICS),
+    "permute_attributes seed={seed}": dict.fromkeys(NOT_RULE),
+    "affine_numeric scale=2": {"rule": None, "anomaly": None, "clustering": standardized},
+    "affine_numeric scale=0.5": {"rule": None, "anomaly": None, "clustering": standardized},
+    "add_uninformative_attribute value=1": {**dict.fromkeys(METRICS),
+                                            "clustering": three_to_7_numeric},
+    "add_uninformative_attribute value=u": dict.fromkeys(NOT_RULE),
+    "relabel_classes map={rotation}": dict.fromkeys(NOT_RULE),
+    "add_informative_attribute map={codes}": {"anomaly": None},
+}
+INVARIANT_CELLS = [(spec, metric) for spec, metrics in INVARIANT.items() for metric in metrics]
+
+# MRs whose two summaries, not only their totals, export alike in each cell
+SAME_SUMMARY = {"identity", "permute_attributes seed={seed}"}
+
+# the table's MRs and MRs that change rows or values (remove_class can leave
+# too few rows for the kNN)
+LAW_CATALOG = (*INVARIANT, "affine_numeric shift=7", "duplicate_instances fraction=0.3 seed={seed}",
+               "remove_instances fraction=0.2 seed={seed}", "add_data_points count=3 seed={seed}")
+
+PARAMS = (MetricParams(), MetricParams(standardize=False))
+SEEDS = st.integers(0, 2**16)
+
+
+def _mr(spec: str, source, seed: int) -> MrSpec:
+    """The MR of catalog line *spec*, its placeholders filled in for *source*."""
+    values = source.attributes[source.class_index].values
+    transform, *tokens = spec.format(
+        seed=seed,
+        rotation=",".join(f"{a}:{b}" for a, b in zip(values, values[1:] + values[:1])),
+        codes=",".join(f"{v}:{i}" for i, v in enumerate(values)),
+    ).split()
+    params = dict(token.split("=") for token in tokens)
+    mr_seed = params.pop("seed", None)
+    return MrSpec(spec, transform, transform, params, mr_seed)
+
+
+def _check_cell(spec, metric, source, seed):
+    [pair] = build_pairs([_mr(spec, source, seed)], source)
+    if pair.mr.transform == "permute_attributes":
+        # a seed may draw the identity permutation (seed=1 on three attributes does)
+        assume(pair.followup.attributes != source.attributes)
+    holds = INVARIANT[spec][metric]
+    for params in PARAMS:
+        if holds is None or holds(pair, params):
+            [score] = score_catalog([pair], metric, params)
+            assert score.raw == 0.0, (params, score.raw)
+            if spec in SAME_SUMMARY:
+                assert score.diagnostics["source"] == score.diagnostics["followup"], params
+
+
+@pytest.mark.parametrize("spec, metric", INVARIANT_CELLS)
+@settings(max_examples=8, **COMMON)
+@given(source=mixed_datasets(), seed=SEEDS)
+def test_invariant_cell_on_narrow_tables(spec, metric, source, seed):
+    _check_cell(spec, metric, source, seed)
+
+
+@pytest.mark.parametrize("spec, metric", INVARIANT_CELLS)
+@settings(max_examples=8, **COMMON)
+@given(source=wide_datasets(), seed=SEEDS)
+def test_invariant_cell_on_wide_tables(spec, metric, source, seed):
+    _check_cell(spec, metric, source, seed)
+
+
+def _check_laws(metric, source, seed, standardize):
+    """Symmetry, the compare's fields and the anomaly count, on every MR."""
+    # the thinned follow-up must keep more than knn_k=5 rows
+    assume(source.n_rows >= 7)
+    params = MetricParams(standardize=standardize)
+    pairs = list(build_pairs([_mr(spec, source, seed) for spec in LAW_CATALOG], source))
+    swapped = [MrPair(pair.mr, pair.followup, pair.source) for pair in pairs]
+    scores = score_catalog(pairs, metric, params)
+    for pair, score, back in zip(pairs, scores, score_catalog(swapped, metric, params)):
+        diag = score.diagnostics
+        assert score.raw == back.raw, pair.mr.id
+        if metric in ("rule", "anomaly"):
+            assert score.raw == abs(diag["surviving_source"] - diag["surviving_followup"])
+        else:
+            assert score.raw == abs(diag["source_total"] - diag["followup_total"])
+        if metric == "anomaly":
+            flags = [flag_count(d.n_rows, params.contamination)
+                     for d in (pair.source, pair.followup)]
+            assert [len(diag[side]["indices"]) for side in ("source", "followup")] == flags
+            assert score.raw == abs(flags[0] - flags[1])
+        if pair.mr.transform == "identity" and metric in ("rule", "anomaly"):
+            # every rule and every flagged outlier is shared with its twin
+            assert diag["surviving_source"] == diag["surviving_followup"] == 0
+            if metric == "rule":
+                assert diag["shared_rules"] == len(diag["source"]["rules"])
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@settings(max_examples=8, **COMMON)
+@given(source=mixed_datasets(), seed=SEEDS, standardize=st.booleans())
+def test_laws_on_narrow_tables(metric, source, seed, standardize):
+    _check_laws(metric, source, seed, standardize)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@settings(max_examples=4, **COMMON)
+@given(source=wide_datasets(), seed=SEEDS, standardize=st.booleans())
+def test_laws_on_wide_tables(metric, source, seed, standardize):
+    _check_laws(metric, source, seed, standardize)
 
 
 @settings(max_examples=15, **COMMON)

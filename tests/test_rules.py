@@ -173,14 +173,6 @@ class TestClassify:
 
 
 class TestRuleDiversity:
-    def test_identity_pair_scores_zero(self):
-        ds = separable_dataset()
-        raw, diag = rule_diversity(ds, ds)
-        assert raw == 0.0
-        assert diag["shared_rules"] == 2
-        assert diag["surviving_source"] == 0
-        assert diag["surviving_followup"] == 0
-
     def test_relabelled_classes_score_zero_without_sharing(self):
         # unequal class sizes keep the majority-class tie-break out of play,
         # so relabelling swaps predictions without changing the rule count
@@ -209,10 +201,3 @@ class TestRuleDiversity:
         raw, diag = rule_diversity(two_rules, no_rules)
         assert raw == 2.0
         assert diag["shared_rules"] == 0
-
-    def test_symmetry(self):
-        two_rules = separable_dataset()
-        noisy = noise_dataset()
-        forward, _ = rule_diversity(two_rules, noisy)
-        backward, _ = rule_diversity(noisy, two_rules)
-        assert forward == backward

@@ -401,7 +401,14 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
                 raise ApplicabilityError(
                     f"MR {mr.id}: attribute {attr.name!r} has no observed values to sample from"
                 )
-            ranges.append((observed.min(), observed.max()))
+            low, high = observed.min(), observed.max()
+            # the uniform draw needs a finite high - low
+            if not math.isfinite(float(high) - float(low)):
+                raise ApplicabilityError(
+                    f"MR {mr.id}: attribute {attr.name!r} spans {float(low)!r} to "
+                    f"{float(high)!r}, a range too wide to sample from"
+                )
+            ranges.append((low, high))
         else:
             ranges.append(None)
     # draws stay row by row, attribute by attribute, so a seed keeps its rows

@@ -151,8 +151,6 @@ def load_catalog(path: str) -> list[MrSpec]:
             continue
         try:
             tokens = shlex.split(stripped, comments=True)
-            if not tokens:
-                continue
             if len(tokens) < 3:
                 raise InputError("expected '<id> <name> <transform> [key=value ...]'")
             mr_id, mr_name, transform = tokens[0], tokens[1], tokens[2]
@@ -187,8 +185,6 @@ def _parse_map(text: str) -> dict[str, str]:
         if old in mapping:
             raise InputError(f"map repeats key {old!r}")
         mapping[old] = new
-    if not mapping:
-        raise InputError("map must not be empty")
     return mapping
 
 

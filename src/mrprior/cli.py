@@ -37,7 +37,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
-from .errors import ApplicabilityError, InputError, InvariantError, MrPriorError
+from .errors import ApplicabilityError, InputError, InvariantError
 # the parser's metric names and defaults; score_catalog comes from the same module
 from .metrics import METRICS, MetricParams, score_catalog
 
@@ -571,9 +571,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    except MrPriorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

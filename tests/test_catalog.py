@@ -464,3 +464,38 @@ class TestPairs:
         pair = pair_from_files("EXT1", "external pair", d, f)
         with pytest.raises(ApplicabilityError):
             apply_mr(pair.mr, d)
+
+
+NUMERIC_CLASS = {"x": [1.0, 2.0], "y": [0.0, 1.0]}
+NOMINAL_ONLY = {"c": ["a", "b"], "cls": ["p", "q"]}
+ONE_CLASS = {"x": [1.0, 2.0], "cls": ["p", "p"]}
+TAKEN_NAMES = {"uninformative": [1.0, 2.0], "uninformative2": [3.0, 4.0], "cls": ["p", "q"]}
+
+
+@pytest.mark.parametrize("columns, line, expected", [
+    (ONE_CLASS, "MR1 a identity scale", "{path}: line 1: expected key=value, got 'scale'"),
+    (ONE_CLASS, "MR1 a identity =2", "{path}: line 1: empty parameter name in '=2'"),
+    (ONE_CLASS, "MR1 a affine_numeric scale=2 scale=3",
+     "{path}: line 1: duplicate parameter 'scale'"),
+    (NUMERIC_CLASS, "MR1 a relabel_classes map=0:1,1:0",
+     "MR MR1: class attribute is not nominal"),
+    (ONE_CLASS, "MR1 a affine_numeric columns=z scale=2", "MR MR1: no attribute named 'z'"),
+    (NOMINAL_ONLY, "MR1 a affine_numeric scale=2", "MR MR1: no numeric attributes to transform"),
+    (ONE_CLASS, "MR1 a remove_class label=p", "MR MR1: cannot remove the only class value"),
+    # a second taken name: the follow-up's attributes
+    (TAKEN_NAMES, "MR1 a add_uninformative_attribute value=1",
+     "uninformative,uninformative2,uninformative3,cls"),
+])
+def test_catalog_messages(tmp_path, columns, line, expected):
+    """The exact error of a catalog line, or the follow-up's attribute names."""
+    path = tmp_path / "catalog.txt"
+    path.write_text(line + "\n")
+    class_name = "cls" if "cls" in columns else "y"
+    source = make_dataset(columns, class_name=class_name)
+    try:
+        followup = apply_mr(load_catalog(str(path))[0], source)
+    except (InputError, ApplicabilityError) as exc:
+        outcome = str(exc)
+    else:
+        outcome = ",".join(a.name for a in followup.attributes)
+    assert outcome == expected.format(path=path)

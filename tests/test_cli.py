@@ -1186,6 +1186,49 @@ def test_non_finite_output_exits_4_and_writes_no_file(workspace, monkeypatch, ca
     assert not out.exists() and not diag.exists()
 
 
+@pytest.fixture
+def message_workspace(workspace):
+    """The workspace, two evaluation reports over different mutants, orderings,
+    broken configs and a follow-up directory that holds a .txt file."""
+    d = workspace["dir"]
+    write(d / "other_kills.csv", "mr_id,m1,m3\nMR1,1,0\nMR2,0,1\n")
+    write(d / "order.json", '{"ordering": ["MR1", "MR2"]}')
+    write(d / "empty.json", '{"ordering": []}')
+    write(d / "bad.json", "{")
+    write(d / "list.json", "[1]")
+    (d / "followups").mkdir()
+    write(d / "followups" / "MR1.csv", SOURCE_CSV)
+    write(d / "followups" / "notes.txt", "x\nnot-a-number\n")   # would not score
+    for kills, out in (("kills.csv", "report.json"), ("other_kills.csv", "other_report.json")):
+        assert main(["evaluate", "--order", str(d / "order.json"), "--kills", str(d / kills),
+                     "--times", workspace["times"], "--out", str(d / out)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    ("prioritize --metric distribution --catalog {d}/catalog.txt", 2,
+     "error: prioritize needs --dataset"),
+    ("evaluate --order {d}/order.json", 2, "error: evaluate needs --kills and --times"),
+    ("compare --treatment {d}/report.json", 2, "error: compare needs --treatment and --baseline"),
+    ("compare --treatment {d}/report.json --baseline {d}/other_report.json --out {d}/c.json", 2,
+     "error: reports cover different mutant sets"),
+    ("evaluate --order {d}/empty.json --kills {d}/kills.csv --times {d}/times.csv", 2,
+     "error: {d}/empty.json: empty ordering"),
+    ("synth --mrs 2 --mutants 3 --times a:b", 2, "error: bad time range 'a:b'"),
+    ("prioritize --config {d}/bad.json", 2,
+     "error: config {d}/bad.json is not valid JSON: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    ("prioritize --config {d}/list.json", 2, "error: config {d}/list.json must hold a JSON object"),
+    # notes.txt is skipped: scored, it would end the run in exit 3
+    ("prioritize --dataset {d}/data.csv --followup-dir {d}/followups --metric distribution "
+     "--out {d}/r.json", 0, ""),
+])
+def test_cli_messages(message_workspace, capsys, argv, code, stderr):
+    assert main(argv.format(d=message_workspace).split()) == code
+    expected = stderr.format(d=message_workspace)
+    assert capsys.readouterr().err == (expected + "\n" if expected else "")
+
+
 def _reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
 

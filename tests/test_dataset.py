@@ -457,3 +457,32 @@ class TestNumericView:
             if not d.numeric_indices():
                 continue
             assert numeric_view(d).n_rows == d.n_rows
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: Attribute(""), "attribute name must be non-empty"),
+    (lambda: Attribute("a", ("v", "v")), "attribute 'a': duplicate nominal values"),
+    (lambda: Dataset("d", (), ()), "dataset 'd': needs at least one attribute"),
+    ("@relation r\n@relation s\n", "{path}: line 2: duplicate @relation"),
+    ("@relation r\n@data\n1\n", "{path}: line 2: @data before any @attribute"),
+    ("@relation r\n@foo bar\n", "{path}: line 2: unrecognized declaration '@foo bar'"),
+    ("@relation r\n@attribute x\n", "{path}: line 2: malformed @attribute"),
+    ("@relation r\n@attribute c {}\n", "{path}: line 2: empty nominal value-set"),
+    ("@relation r\n@attribute c {a,a}\n", "{path}: line 2: duplicate nominal values"),
+    # comment and blank lines inside @data are skipped
+    ("@relation r\n@attribute x numeric\n@data\n1\n% note\n\n2\n", "rows [1.0, 2.0]"),
+])
+def test_dataset_messages(tmp_path, make, expected):
+    """The exact error of a model or ARFF input, or the rows it loads."""
+    path = tmp_path / "d.arff"
+    try:
+        if isinstance(make, str):
+            path.write_text(make)
+            loaded = load_arff(str(path))
+        else:
+            loaded = make()
+    except InputError as exc:
+        outcome = str(exc)
+    else:
+        outcome = f"rows {loaded.columns[0].tolist()}"
+    assert outcome == expected.format(path=path)

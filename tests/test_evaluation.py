@@ -1127,3 +1127,23 @@ class TestSynthKillMatrix:
             synth_kill_matrix(2, 2, times=(3.0, 1.0))
         with pytest.raises(InputError):
             synth_kill_matrix(2, 2, times=[-1.0, 1.0])
+
+
+@pytest.mark.parametrize("kills, times, expected", [
+    ("mr_id\nMR1\n", "mr_id,exec_seconds\nMR1,1\n", "{kills}: no mutant columns"),
+    ("mr_id,m1\n", "mr_id,exec_seconds\nMR1,1\n", "{kills}: no MR rows"),
+    ("mr_id,m1\nMR1,1\n", "id,seconds\nMR1,1\n", "{times}: header must be 'mr_id,exec_seconds'"),
+    ("mr_id,m1\nMR1,1\n", "mr_id,exec_seconds\nMR1,1,2\n", "{times}: line 2: expected 2 fields"),
+    (None, [1.0, 2.0, 3.0], "times must be scalar, a (low, high) pair or length 2"),
+])
+def test_evaluation_messages(tmp_path, kills, times, expected):
+    """The exact error of a kill matrix, a times file or synth's times."""
+    kills_path, times_path = tmp_path / "kills.csv", tmp_path / "times.csv"
+    with pytest.raises(InputError) as info:
+        if kills is None:
+            synth_kill_matrix(2, 3, times=times)
+        else:
+            kills_path.write_text(kills)
+            times_path.write_text(times)
+            load_kill_matrix(str(kills_path), str(times_path))
+    assert str(info.value) == expected.format(kills=kills_path, times=times_path)

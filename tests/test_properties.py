@@ -291,3 +291,14 @@ def test_failing_source_fails_every_pair():
     assert lines[0] == "metric 'rule' not applicable to every MR:"
     assert [line.split(":")[0].strip() for line in lines[1:]] == ["MR1", "MR2"]
     assert lines[1].split(":", 1)[1] == lines[2].split(":", 1)[1]
+
+
+@pytest.mark.parametrize("catalog", [[], [MrSpec("MR1", "ident", "identity")]])
+def test_metrics_messages(catalog):
+    """An unknown metric ends the run with one message, once its pairs are drawn."""
+    pairs = build_pairs(catalog, make_dataset({"x": [1.0, 2.0]}))
+    with pytest.raises(ApplicabilityError) as info:
+        score_catalog(pairs, "nope")
+    assert str(info.value) == (
+        "unknown metric 'nope'; choose one of ('rule', 'anomaly', 'clustering', 'distribution')")
+    assert next(pairs, None) is None

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Attribute, Dataset, parse_number, read_only
 from .errors import ApplicabilityError, InputError
-from .inputs import input_lines
+from .inputs import index_or_name, input_lines
 
 # marker for pairs whose follow-up came from a file instead of a transform
 EXTERNAL = "external"
@@ -252,12 +252,11 @@ def _t_affine_numeric(mr: MrSpec, source: Dataset) -> Dataset:
         targets = []
         names = [a.name for a in source.attributes]
         for token in str(mr.params["columns"]).split(","):
-            token = token.strip()
-            idx = int(token) if token.lstrip("-").isdigit() else None
-            if idx is None:
-                if token not in names:
-                    raise ApplicabilityError(f"MR {mr.id}: no attribute named {token!r}")
-                idx = names.index(token)
+            idx = index_or_name(token.strip())
+            if isinstance(idx, str):
+                if idx not in names:
+                    raise ApplicabilityError(f"MR {mr.id}: no attribute named {idx!r}")
+                idx = names.index(idx)
             if idx not in numeric:
                 raise ApplicabilityError(
                     f"MR {mr.id}: attribute {names[idx] if 0 <= idx < len(names) else idx!r} "

@@ -146,12 +146,6 @@ def _load_dataset(path: str, fmt: str | None, header: bool, class_column) -> Dat
     return load_csv(path, header=header, class_column=class_column)
 
 
-def _parse_class_column(text: str | None):
-    if not text:
-        return None
-    return int(text) if text.lstrip("-").isdigit() else text
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -238,8 +232,10 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
     if bool(args.catalog) == bool(args.followup_dir):
         raise InputError("prioritize needs exactly one of --catalog or --followup-dir")
 
+    from .inputs import index_or_name
+
     load = partial(_load_dataset, fmt=args.format, header=not args.no_header,
-                   class_column=_parse_class_column(args.class_column))
+                   class_column=index_or_name(args.class_column) if args.class_column else None)
     with ExitStack() as stack:
         listing_error = None
         if args.followup_dir:

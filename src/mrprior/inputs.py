@@ -1,7 +1,8 @@
-"""The two readers every input file goes through.
+"""The two readers every input file goes through, and how a column is named.
 
 ``input_lines`` opens a file as UTF-8 and skips a leading byte-order mark;
-``csv_records`` reads a CSV file's records through it.  They need only the
+``csv_records`` reads a CSV file's records through it; ``index_or_name``
+reads a token that selects a column by index or by name.  They need only the
 standard library, so a subcommand that reads a JSON or CSV file loads this
 module and not the dataset layer.
 """
@@ -42,3 +43,10 @@ def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
     except csv.Error as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def index_or_name(token: str) -> int | str:
+    """*token* as a column index if it is an optional ``-`` and ASCII digits,
+    else as a column name."""
+    digits = token.removeprefix("-")
+    return int(token) if digits.isascii() and digits.isdigit() else token

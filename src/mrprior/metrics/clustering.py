@@ -8,10 +8,10 @@ source's takes the source's summary.  Seeding is k-means++; Lloyd
 iterations run to an assignment fixpoint or ``max_iters``.  A cluster left
 empty by an update takes the point farthest from its own centroid.
 
-Every squared distance equals ``((p - c)**2).sum(-1)`` bit for bit: the
-d squares are added in the fixed order of numpy's pairwise summation of a
-contiguous axis (the same in numpy 2.0 to 2.4), but for all points and
-centroids at once, in place, in one reused buffer.
+Each squared distance adds its d squares left to right, for all points and
+centroids at once, in place, in one reused buffer; each centroid is the mean
+of each of its columns taken alone.  Neither order depends on d, so a
+constant column, whose squares are all 0, changes no bit of the summary.
 """
 
 from __future__ import annotations
@@ -46,28 +46,9 @@ class ClusterSummary(Record):
 
 
 def _sum_rows(a: np.ndarray) -> None:
-    """Sum ``a`` over axis 1 into ``a[:, 0]``, in place, adding exactly as
-    ``np.add.reduce`` adds a contiguous axis (pairwise, in blocks of 128 with
-    eight running sums).  numpy also adds the total to 0.0, which changes
-    nothing here: a sum of squares is never -0.0."""
-    d = a.shape[1]
-    if d < 8:
-        for i in range(1, d):
-            a[:, 0] += a[:, i]
-    elif d <= 128:
-        tail = d - d % 8
-        for i in range(8, tail, 8):
-            a[:, :8] += a[:, i:i + 8]
-        a[:, 0:8:2] += a[:, 1:8:2]      # r0+r1, r2+r3, r4+r5, r6+r7
-        a[:, 0:8:4] += a[:, 2:8:4]      # (r0+r1)+(r2+r3), (r4+r5)+(r6+r7)
-        a[:, 0] += a[:, 4]
-        for i in range(tail, d):
-            a[:, 0] += a[:, i]
-    else:
-        half = d // 2 - d // 2 % 8
-        _sum_rows(a[:, :half])
-        _sum_rows(a[:, half:])
-        a[:, 0] += a[:, half]
+    """Sum ``a`` over axis 1 into ``a[:, 0]``, in place, left to right."""
+    for i in range(1, a.shape[1]):
+        a[:, 0] += a[:, i]
 
 
 def _sq_distances(cols: np.ndarray, centroids: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -75,8 +56,7 @@ def _sq_distances(cols: np.ndarray, centroids: np.ndarray, buf: np.ndarray) -> n
 
     ``cols`` holds the points column by column (d, n), ``buf`` is a (>= k, d,
     n) scratch array.  Each difference is squared and the d squares of a pair
-    are added in numpy's own order, so the result equals
-    ``((points[:, None] - centroids[None]) ** 2).sum(-1)`` bit for bit.
+    are added left to right.
     """
     out = buf[: len(centroids)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,7 +124,7 @@ def kmeans_summary(
         for c in range(k):
             members = assignment == c
             if members.any():
-                centroids[c] = points[members].mean(axis=0)
+                centroids[c] = np.ascontiguousarray(cols[:, members]).mean(axis=1)
         for c in range(k):
             if (assignment == c).any():
                 continue
@@ -161,13 +141,15 @@ def kmeans_summary(
     if int(sizes.sum()) != n:
         raise InvariantError("cluster sizes do not add up to the row count")
 
-    # pairwise centroid distances, added left to right, as sum() does
-    # before Python 3.12
-    between_total = 0.0
+    # distances between centroid pairs, added left to right in a loop: sum()
+    # compensates from Python 3.12 on
+    i, j = np.triu_indices(k, 1)
     with np.errstate(over="ignore"):   # an overflow is raised below
-        for i in range(k):
-            for j in range(i + 1, k):
-                between_total += float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
+        squares = (centroids[i] - centroids[j]) ** 2
+        _sum_rows(squares)
+    between_total = 0.0
+    for distance in np.sqrt(squares[:, 0]).tolist():
+        between_total += distance
     within_avg = float(np.sqrt(d2[np.arange(n), assignment]).mean())
     # k = 1 draws no seed, and a Lloyd step can leave the seeding's range:
     # an overflowed squared distance shows up in one of the two totals

@@ -485,11 +485,14 @@ TAKEN_NAMES = {"uninformative": [1.0, 2.0], "uninformative2": [3.0, 4.0], "cls":
     # a second taken name: the follow-up's attributes
     (TAKEN_NAMES, "MR1 a add_uninformative_attribute value=1",
      "uninformative,uninformative2,uninformative3,cls"),
+    # only an optional "-" and ASCII digits make an index
+    (ONE_CLASS, "MR1 a affine_numeric columns=--1 scale=2", "MR MR1: no attribute named '--1'"),
+    (ONE_CLASS, "MR1 a affine_numeric columns=\u00b2 scale=2", "MR MR1: no attribute named '\u00b2'"),
 ])
 def test_catalog_messages(tmp_path, columns, line, expected):
     """The exact error of a catalog line, or the follow-up's attribute names."""
     path = tmp_path / "catalog.txt"
-    path.write_text(line + "\n")
+    path.write_text(line + "\n", encoding="utf-8")
     class_name = "cls" if "cls" in columns else "y"
     source = make_dataset(columns, class_name=class_name)
     try:

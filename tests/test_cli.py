@@ -1219,6 +1219,11 @@ def message_workspace(workspace):
      "error: config {d}/bad.json is not valid JSON: Expecting property name enclosed in "
      "double quotes: line 1 column 2 (char 1)"),
     ("prioritize --config {d}/list.json", 2, "error: config {d}/list.json must hold a JSON object"),
+    # only an optional "-" and ASCII digits make a column index
+    ("prioritize --dataset {d}/data.csv --class-column=--1 --catalog {d}/catalog.txt "
+     "--metric distribution --out {d}/r.json", 2, "error: {d}/data.csv: no column named '--1'"),
+    ("prioritize --dataset {d}/data.csv --class-column=\u00b2 --catalog {d}/catalog.txt "
+     "--metric distribution --out {d}/r.json", 2, "error: {d}/data.csv: no column named '\u00b2'"),
     # notes.txt is skipped: scored, it would end the run in exit 3
     ("prioritize --dataset {d}/data.csv --followup-dir {d}/followups --metric distribution "
      "--out {d}/r.json", 0, ""),

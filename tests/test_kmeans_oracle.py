@@ -1,10 +1,11 @@
 """k-means against the whole-array formulas it replaced, bit for bit.
 
-``oracle_kmeans_summary`` is the k-means summary as it was computed before
-the distance kernel and the row sort were rewritten: every distance call
-materializes (n, k, d) differences and lets ``np.add.reduce`` sum them, and
-rows are put in order with one ``np.lexsort`` over every column.  The kernel
-must reproduce it exactly, so nothing here is compared with a tolerance.
+``oracle_kmeans_summary`` is the k-means summary computed the plain way:
+every distance call materializes (n, k, d) differences and adds each pair's
+d squares in a Python loop, left to right; each centroid is the mean of each
+column taken alone; and rows are put in order with one ``np.lexsort`` over
+every column.  The kernel must reproduce it exactly, so nothing here is
+compared with a tolerance.
 """
 
 import numpy as np
@@ -20,14 +21,22 @@ from mrprior.metrics.clustering import (
     kmeans_summary,
 )
 
-# numpy sums up to 7 terms in sequence, up to 128 with eight running sums
-# plus a tail, and splits longer runs in halves: each branch, and its edges
+# widths at and around those where numpy's own sum over a row would change
+# how it groups the terms (8 and 128), which the kernel must not follow
 DIMS = list(range(1, 21)) + [127, 128, 129, 136]
 
 
+def oracle_sum_squares(deltas):
+    """The squares of *deltas* added over the last axis, left to right."""
+    squares = deltas**2
+    total = squares[..., 0].copy()
+    for j in range(1, squares.shape[-1]):
+        total += squares[..., j]
+    return total
+
+
 def oracle_sq_distances(points, centroids):
-    deltas = points[:, None, :] - centroids[None, :, :]
-    return (deltas**2).sum(axis=-1)
+    return oracle_sum_squares(points[:, None, :] - centroids[None, :, :])
 
 
 def oracle_seed_centroids(points, k, rng):
@@ -68,7 +77,7 @@ def oracle_kmeans_summary(view, k=3, seed=0, max_iters=100):
         for c in range(k):
             members = assignment == c
             if members.any():
-                centroids[c] = points[members].mean(axis=0)
+                centroids[c] = [points[members, j].mean() for j in range(points.shape[1])]
         for c in range(k):
             if (assignment == c).any():
                 continue
@@ -82,16 +91,19 @@ def oracle_kmeans_summary(view, k=3, seed=0, max_iters=100):
     assignment = d2.argmin(axis=1)
     sizes = np.bincount(assignment, minlength=k)
     pair_dists = [
-        float(np.sqrt(((centroids[i] - centroids[j]) ** 2).sum()))
+        float(np.sqrt(oracle_sum_squares(centroids[i] - centroids[j])))
         for i in range(k)
         for j in range(i + 1, k)
     ]
+    between_total = 0.0
+    for dist in pair_dists:   # not sum(): from Python 3.12 it compensates
+        between_total += dist
     within = np.sqrt(d2[np.arange(n), assignment])
     return ClusterSummary(
         k=k,
         centroids=centroids,
         sizes=tuple(int(s) for s in sizes),
-        between_total=float(sum(pair_dists)),
+        between_total=between_total,
         size_total=n,
         within_avg=float(within.mean()),
         n_iters=iters,

@@ -15,6 +15,7 @@ list them in name order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from unittest import mock
 
@@ -140,7 +141,7 @@ def _t_affine_numeric(mr: MrSpec, source: RowDataset) -> RowDataset:
         names = [a.name for a in source.attributes]
         for token in str(mr.params["columns"]).split(","):
             token = token.strip()
-            idx = int(token) if token.lstrip("-").isdigit() else None
+            idx = int(token) if re.fullmatch("-?[0-9]+", token) else None
             if idx is None:
                 if token not in names:
                     raise ApplicabilityError(f"MR {mr.id}: no attribute named {token!r}")

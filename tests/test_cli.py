@@ -6,6 +6,7 @@ import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -1013,162 +1014,122 @@ def test_huge_arff_field_exits_2_naming_the_line(tmp_path, monkeypatch, capsys):
         "error: d.arff: line 6: field larger than field limit (131072)\n")
 
 
-def test_overflowing_kmeans_seeding_exits_3(tmp_path, monkeypatch, capsys):
-    # every column stays small enough for its own variance, but a squared
-    # distance sums nine columns and overflows: k-means++ has no finite
-    # probabilities to draw from
-    monkeypatch.chdir(tmp_path)
-    rows = ["5e153"] * 9, ["-5e153"] * 9, *([str(i % 4)] * 9 for i in range(18))
-    write(tmp_path / "d.csv", "".join(",".join(r) + "\n" for r in
-                                      [[f"x{j}" for j in range(9)], *rows]))
-    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
-    rc = main(["prioritize", "--dataset", "d.csv", "--catalog", "cat.txt",
-               "--metric", "clustering", "--no-standardize", "--out", "r.json"])
-    assert rc == 3
-    reason = "k-means++ seeding: squared distances overflow float64 " \
-             "(standardize the features or rescale them)"
-    assert capsys.readouterr().err == (
-        "not applicable: metric 'clustering' not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"
-    )
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
 
 
-def huge_workspace(tmp_path, monkeypatch):
-    # x near +-1e200: its squares, and so its spread and any squared
-    # distance, overflow float64
-    monkeypatch.chdir(tmp_path)
-    rows = ["x,y", *(f"{(-1) ** i * (1 + i / 10)}e200,{i % 3}" for i in range(20))]
-    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
-    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
-    return ["prioritize", "--dataset", "d.csv", "--catalog", "cat.txt", "--out", "r.json"]
-
-
-@pytest.mark.parametrize("extra, reason", [
-    (["--metric", "clustering", "--no-standardize", "--kmeans-k", "1"],
-     "k-means: squared distances overflow float64 (standardize the features or rescale them)"),
-    (["--metric", "clustering"],
-     "dataset 'd.csv': attribute 'x' has a standard deviation that overflows float64 "
-     "(rescale it)"),
-    (["--metric", "anomaly"],
-     "dataset 'd.csv': attribute 'x' has a standard deviation that overflows float64 "
-     "(rescale it)"),
-], ids=["kmeans-k1-unstandardized", "clustering-standardized", "anomaly-standardized"])
-def test_overflowing_spread_exits_3_without_a_warning(tmp_path, monkeypatch, capsys,
-                                                      extra, reason):
-    argv = huge_workspace(tmp_path, monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
+def prioritize_outcome(data, catalog, metric, extra=()):
+    """Run prioritize on *data* and *catalog*, with --out and --diagnostics
+    in their directory. It must warn of nothing, and end in exit 0 with an
+    empty stderr and finite JSON in both files, or in exit 3 with neither
+    file. Returns the stderr of exit 3, or None for exit 0."""
+    out, diag = data.parent / "r.json", data.parent / "d.json"
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
         warnings.simplefilter("always")
-        rc = main([*argv, *extra])
-    assert [str(w.message) for w in caught] == []
-    assert rc == 3
-    assert capsys.readouterr().err == (
-        f"not applicable: metric {extra[1]!r} not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"
-    )
-    assert not (tmp_path / "r.json").exists()
+        rc = main(["prioritize", "--dataset", str(data), "--class-column", "cls",
+                   "--catalog", str(catalog), "--metric", metric, *extra,
+                   "--out", str(out), "--diagnostics", str(diag)])
+    assert [str(w.message) for w in caught] == [], (metric, extra)
+    if rc == 0:
+        assert err.getvalue() == ""
+        for path in (out, diag):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+            path.unlink()
+        return None
+    assert rc == 3, (metric, extra, err.getvalue())
+    assert not out.exists() and not diag.exists()
+    return err.getvalue()
 
 
-def test_unstandardized_huge_column_scores_without_a_warning(tmp_path, monkeypatch):
-    # the spread overflows, but nothing reads it: CN2 splits on bins of the values
-    argv = huge_workspace(tmp_path, monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main([*argv, "--metric", "rule", "--class-column", "y"])
-    assert [str(w.message) for w in caught] == []
-    assert rc == 0
+def _x_and_y(cells):
+    return {"x": cells, "y": [str(i % 3) for i in range(len(cells))]}
 
 
-def near_limit_workspace(tmp_path, monkeypatch, cells):
-    monkeypatch.chdir(tmp_path)
-    rows = ["x,y,cls", *(f"{cell},{i % 3},c{i % 2}" for i, cell in enumerate(cells))]
-    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
-    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
-    return ["prioritize", "--dataset", "d.csv", "--class-column", "cls",
-            "--catalog", "cat.txt", "--out", "r.json"]
+SUM = ["1.7e308" if i % 2 else "1.6e308" for i in range(20)]
 
-
-# 20 cells each: the sum of the first two tables overflows (so their means
-# do), the range of the second overflows, and the third's moments overflow
-# only once raised to the power 1.5 or 2
-NEAR_LIMIT = {
-    "sum": ["1.7e308" if i % 2 else "1.6e308" for i in range(20)],
-    "range": ["1.7e308" if i % 2 else "-1.7e308" for i in range(20)],
-    "power": [f"{i % 5}e110" for i in range(20)],
+# tables at the float64 limit, column name -> cells; each gains cls = c{i % 2}
+LIMIT_TABLES = {
+    # x near +-1e200: its squares, so its spread and any squared distance, overflow
+    "huge": _x_and_y([f"{(-1) ** i * (1 + i / 10)}e200" for i in range(20)]),
+    # the sum overflows (so the mean does), the range overflows, and the
+    # moments overflow only once raised to the power 1.5 or 2
+    "sum": _x_and_y(SUM),
+    "range": _x_and_y(["1.7e308" if i % 2 else "-1.7e308" for i in range(20)]),
+    "power": _x_and_y([f"{i % 5}e110" for i in range(20)]),
+    # CN2 imputes a missing cell with the mean, and cuts over it: the mean
+    # overflows to inf, or -inf and +inf partial sums give NaN
+    "imputed-inf": _x_and_y(SUM[:3] + ["?"] + SUM[4:]),
+    "imputed-nan": _x_and_y(["-1.7e308"] * 6 + ["1.7e308"] * 2 + ["?"]),
+    "knn": _x_and_y(["1e200", "-1e200", "1", "2", "3", "4", "5", "6"]),
+    "seeding": _x_and_y(["1e154", "5e-324", "0", "1e154", "0", "5e153", "?", "5e-324"]),
+    # each column is small enough for its own variance, but a squared
+    # distance sums nine columns and overflows
+    "nine-column": {f"x{j}": ["5e153", "-5e153", *(str(i % 4) for i in range(18))]
+                    for j in range(9)},
+    # mean 1.7e308 and spread 0, but the mean is taken from an overflowing sum
+    # (the mean_imputed FOUND in CHANGES.md): pinned as it is
+    "const": _x_and_y(["1.7e308"] * 8),
 }
 
+# the program's six overflow reasons; attr is the table's first column
+LIMIT_REASONS = {
+    "std": "dataset 'd.csv': attribute {attr!r} has a standard deviation that overflows "
+           "float64 (rescale it)",
+    "impute": "dataset 'd.csv': attribute {attr!r} has an imputed mean or CN2 cuts that "
+              "overflow float64 (rescale it)",
+    "stats": "dataset 'd.csv': attribute {attr!r} has statistics that overflow float64 "
+             "(rescale it)",
+    "knn": "dataset 'd.csv': kth-NN distances overflow float64 "
+           "(standardize the features or rescale them)",
+    "seeding": "k-means++ seeding: squared distances overflow float64 "
+               "(standardize the features or rescale them)",
+    "kmeans": "k-means: squared distances overflow float64 "
+              "(standardize the features or rescale them)",
+}
 
-@pytest.mark.parametrize("table", sorted(NEAR_LIMIT))
-def test_overflowing_statistics_exit_3_without_a_warning(tmp_path, monkeypatch, capsys, table):
-    argv = near_limit_workspace(tmp_path, monkeypatch, NEAR_LIMIT[table])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main([*argv, "--metric", "distribution"])
-    assert [str(w.message) for w in caught] == []
-    assert rc == 3
-    reason = "dataset 'd.csv': attribute 'x' has statistics that overflow float64 (rescale it)"
-    assert capsys.readouterr().err == (
-        "not applicable: metric 'distribution' not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"
-    )
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("metric, rc", [
-    ("rule", 0), ("anomaly", 3), ("clustering", 3), ("distribution", 3),
-])
-def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, capsys, metric, rc):
-    argv = near_limit_workspace(tmp_path, monkeypatch, NEAR_LIMIT["sum"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([*argv, "--metric", metric]) == rc
-    assert [str(w.message) for w in caught] == []
-    if rc == 0:
-        assert capsys.readouterr().err == ""
-        assert "NaN" not in (tmp_path / "r.json").read_text()
-
-
-# with a missing cell, CN2 imputes the column's mean, and cuts over it
-@pytest.mark.parametrize("cells", [
-    NEAR_LIMIT["sum"][:3] + ["?"] + NEAR_LIMIT["sum"][4:],   # the mean overflows to inf
-    ["-1.7e308"] * 6 + ["1.7e308"] * 2 + ["?"],              # -inf and +inf partial sums: NaN
-], ids=["inf", "nan"])
-def test_overflowing_imputed_mean_exits_3_for_rule(tmp_path, monkeypatch, capsys, cells):
-    argv = near_limit_workspace(tmp_path, monkeypatch, cells)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main([*argv, "--metric", "rule", "--diagnostics", "d.json"])
-    assert [str(w.message) for w in caught] == []
-    assert rc == 3
-    reason = ("dataset 'd.csv': attribute 'x' has an imputed mean or CN2 cuts "
-              "that overflow float64 (rescale it)")
-    assert capsys.readouterr().err == (
-        "not applicable: metric 'rule' not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"
-    )
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.json").exists()
+# what each metric does with each table, standardized and with
+# --no-standardize: "ok" is exit 0, any other word the reason of exit 3
+LIMIT = {
+    #               rule           anomaly     clustering      distribution
+    #               std    raw     std  raw    std  raw        std   raw
+    "huge":        "ok     ok      std  knn    std  seeding    stats stats",
+    "sum":         "ok     ok      std  ok     std  seeding    stats stats",
+    "range":       "impute impute  std  ok     std  seeding    stats stats",
+    "power":       "ok     ok      ok   ok     ok   ok         stats stats",
+    "imputed-inf": "impute impute  std  knn    std  seeding    stats stats",
+    "imputed-nan": "impute impute  std  knn    std  seeding    stats stats",
+    "knn":         "ok     ok      std  knn    std  seeding    stats stats",
+    "seeding":     "ok     ok      ok   ok     ok   seeding    stats stats",
+    "nine-column": "ok     ok      ok   knn    ok   seeding    stats stats",
+    "const":       "ok     ok      std  ok     std  kmeans     stats stats",
+}
+METRICS = ("rule", "anomaly", "clustering", "distribution")
+SETTINGS = ([], ["--no-standardize"])
+LIMIT_CELLS = [
+    (table, metric, extra, word) for table, row in LIMIT.items()
+    for (metric, extra), word in zip(product(METRICS, SETTINGS), row.split(), strict=True)
+] + [
+    # k = 1 makes no k-means++ draw; Lloyd's sums overflow instead
+    ("huge", "clustering", ["--no-standardize", "--kmeans-k", "1"], "kmeans"),
+    ("knn", "anomaly", ["--no-standardize", "--knn-k", "2"], "knn"),
+]
 
 
-@pytest.mark.parametrize("cells, extra, reason", [
-    (["1e200", "-1e200", "1", "2", "3", "4", "5", "6"], ["--metric", "anomaly", "--knn-k", "2"],
-     "dataset 'd.csv': kth-NN distances overflow float64 "
-     "(standardize the features or rescale them)"),
-    (["1e154", "5e-324", "0", "1e154", "0", "5e153", "?", "5e-324"], ["--metric", "clustering"],
-     "k-means++ seeding: squared distances overflow float64 "
-     "(standardize the features or rescale them)"),
-], ids=["anomaly", "clustering"])
-def test_overflowing_distances_exit_3_without_a_warning(tmp_path, monkeypatch, capsys,
-                                                        cells, extra, reason):
-    argv = near_limit_workspace(tmp_path, monkeypatch, cells)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main([*argv, *extra, "--no-standardize", "--diagnostics", "d.json"])
-    assert [str(w.message) for w in caught] == []
-    assert rc == 3
-    assert capsys.readouterr().err == (
-        f"not applicable: metric {extra[1]!r} not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"
-    )
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.json").exists()
+@pytest.mark.parametrize("table, metric, extra, word", LIMIT_CELLS, ids=[
+    "-".join([table, metric, *([a.lstrip("-") for a in extra] or ["standardized"])])
+    for table, metric, extra, _ in LIMIT_CELLS])
+def test_float64_limit_cell(tmp_path, monkeypatch, table, metric, extra, word):
+    monkeypatch.chdir(tmp_path)
+    columns = LIMIT_TABLES[table]
+    rows = [[*cells, f"c{i % 2}"] for i, cells in enumerate(zip(*columns.values()))]
+    data, catalog = Path("d.csv"), Path("cat.txt")
+    data.write_text("".join(",".join(r) + "\n" for r in [[*columns, "cls"], *rows]))
+    catalog.write_text("MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
+    reason = LIMIT_REASONS.get(word, "").format(attr=next(iter(columns)))
+    assert prioritize_outcome(data, catalog, metric, extra) == (None if word == "ok" else (
+        f"not applicable: metric {metric!r} not applicable to every MR:\n"
+        f"  MR1: {reason}\n  MR2: {reason}\n"))
 
 
 @pytest.mark.parametrize("compared, refused", [
@@ -1234,10 +1195,6 @@ def test_cli_messages(message_workspace, capsys, argv, code, stderr):
     assert capsys.readouterr().err == (expected + "\n" if expected else "")
 
 
-def _reject_constant(name):
-    raise AssertionError(f"{name} in JSON output")
-
-
 # cells at and near the float64 extremes: sums, squares and distances of
 # them overflow; "?" is a missing cell
 EXTREME_CELLS = ["1.7e308", "-1.7e308", "1e200", "-1e200", "1e154", "5e153", "5e-324",
@@ -1282,30 +1239,16 @@ def test_extreme_cells_exit_0_with_valid_json_or_3_naming_every_mr(table):
     with tempfile.TemporaryDirectory() as work:
         data, catalog = Path(work, "d.csv"), Path(work, "cat.txt")
         data.write_text(table)
-        out, diag = Path(work, "r.json"), Path(work, "d.json")
         for lines in (EXTREME_CATALOG[:3], EXTREME_CATALOG):
             catalog.write_text("".join(line + "\n" for line in lines))
-            for metric in ("rule", "anomaly", "clustering", "distribution"):
-                for extra in ([], ["--no-standardize"]):
-                    err = io.StringIO()
-                    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-                        warnings.simplefilter("always")
-                        rc = main(["prioritize", "--dataset", str(data), "--class-column", "cls",
-                                   "--catalog", str(catalog), "--metric", metric, *extra,
-                                   "--out", str(out), "--diagnostics", str(diag)])
-                    assert [str(w.message) for w in caught] == [], (metric, extra)
-                    if rc == 0:
-                        assert err.getvalue() == ""
-                        for path in (out, diag):
-                            json.loads(path.read_text(), parse_constant=_reject_constant)
-                            path.unlink()
-                        continue
-                    assert rc == 3, (metric, extra, err.getvalue())
-                    header, *failed = err.getvalue().splitlines()
-                    assert header in (
-                        "not applicable: catalog could not be applied:",
-                        f"not applicable: metric {metric!r} not applicable to every MR:")
-                    # one line per MR that fails, in catalog order
-                    named = [line.split(":")[0] for line in failed]
-                    assert named and named == [i for i in ids if i in named]
-                    assert not out.exists() and not diag.exists()
+            for metric, extra in product(METRICS, SETTINGS):
+                err = prioritize_outcome(data, catalog, metric, extra)
+                if err is None:
+                    continue
+                header, *failed = err.splitlines()
+                assert header in (
+                    "not applicable: catalog could not be applied:",
+                    f"not applicable: metric {metric!r} not applicable to every MR:")
+                # one line per MR that fails, in catalog order
+                named = [line.split(":")[0] for line in failed]
+                assert named and named == [i for i in ids if i in named]

@@ -22,7 +22,9 @@ import copy
 import math
 import numbers
 import shlex
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -388,7 +390,8 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
         raise ApplicabilityError(f"MR {mr.id}: cannot synthesize rows for an empty dataset")
     count = int(mr.params["count"])
     rng = _rng(mr)
-    ranges = []
+    # one array per attribute, 8 bytes a cell, and the draw that fills it
+    draws = []
     for attr, column in zip(source.attributes, source.columns):
         if attr.is_numeric:
             observed = column[~np.isnan(column)]
@@ -403,17 +406,17 @@ def _t_add_data_points(mr: MrSpec, source: Dataset) -> Dataset:
                     f"MR {mr.id}: attribute {attr.name!r} spans {float(low)!r} to "
                     f"{float(high)!r}, a range too wide to sample from"
                 )
-            ranges.append((low, high))
+            draws.append((array("d"), partial(rng.uniform, low, high)))
         else:
-            ranges.append(None)
+            draws.append((array("q"), partial(rng.integers, len(attr.values))))
     # draws stay row by row, attribute by attribute, so a seed keeps its rows
-    new_rows = [
-        [rng.uniform(*ranges[j]) if attr.is_numeric else rng.integers(len(attr.values))
-         for j, attr in enumerate(source.attributes)]
-        for _ in range(count)
-    ]
+    steps = [(drawn.append, draw) for drawn, draw in draws]
+    for _ in range(count):
+        for append, draw in steps:
+            append(draw())
     columns = tuple(
-        read_only(np.concatenate([c, a])) for c, a in zip(source.columns, zip(*new_rows))
+        read_only(np.concatenate([c, np.frombuffer(drawn, c.dtype)]))
+        for c, (drawn, _) in zip(source.columns, draws)
     )
     return replace(source, columns=columns)
 

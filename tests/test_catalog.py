@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,35 @@ class TestTransforms:
             assert 12.0 <= row[0] <= 45.0
             assert 16.0 <= row[1] <= 99.0
             assert row[4] in ("0", "2", "1", "3", "4")
+
+    def test_add_data_points_draws_row_by_row(self):
+        # the stream a seed gives: each row, each attribute in turn
+        d = random_dataset(np.random.default_rng(6), n_rows=40, n_attrs=6, missing=0.1)
+        out = apply_mr(MrSpec("M", "ad", "add_data_points", {"count": 30}, seed=9), d)
+        rng = np.random.default_rng(9)
+        ranges = [(np.nanmin(c), np.nanmax(c)) if a.is_numeric else len(a.values)
+                  for a, c in zip(d.attributes, d.columns)]
+        drawn = [[rng.uniform(*r) if isinstance(r, tuple) else rng.integers(r) for r in ranges]
+                 for _ in range(30)]
+        for column, new, cells in zip(out.columns, zip(*drawn), d.columns):
+            expected = np.concatenate([cells, np.array(new, dtype=cells.dtype)])
+            assert column.dtype == cells.dtype
+            assert column.tobytes() == expected.tobytes()
+
+    def test_add_data_points_holds_its_draws_in_columns(self):
+        d = random_dataset(np.random.default_rng(7), n_rows=50, n_attrs=6)
+        count, cells = 10_000, 7
+        mr = MrSpec("M", "ad", "add_data_points", {"count": count}, seed=1)
+        tracemalloc.start()
+        try:
+            out = apply_mr(mr, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.columns) == cells
+        # the follow-up's 8 bytes a cell and the drawn arrays, not a Python
+        # object per cell
+        assert peak / count < 3 * 8 * cells, peak / count
 
     def test_seeded_transforms_are_deterministic(self):
         d = random_dataset(np.random.default_rng(4), n_rows=30)

@@ -3,9 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from mrprior import dataset
 from mrprior import (
@@ -460,18 +457,6 @@ class TestNumericView:
             if not d.numeric_indices():
                 continue
             assert numeric_view(d).n_rows == d.n_rows
-
-
-# sort keys that tie or sit at the ends: zeros of both signs, the
-# infinities and NaN (numpy sorts NaN last and ties it with every NaN)
-SORT_KEYS = [-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(matrix=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 4)),
-                     elements=st.sampled_from(SORT_KEYS)))
-def test_canonical_order_is_the_lexsort_permutation(matrix):
-    assert np.array_equal(dataset.canonical_order(matrix), np.lexsort(matrix.T[::-1]))
 
 
 @pytest.mark.parametrize("make, expected", [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrprior.dataset import NumericView, canonical_order
 from mrprior.errors import ApplicabilityError
@@ -191,8 +192,15 @@ def test_distances_equal_oracle(matrix, k, data):
     assert got.tobytes() == np.ascontiguousarray(oracle_sq_distances(matrix, centroids)).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrix=matrices(dims=list(range(1, 10)) + [40]), data=st.data())
+# sort keys that tie or sit at the ends: zeros of both signs, the infinities
+# and NaN; tables of only these keys, 0 rows included
+SORT_KEYS = [-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan]
+KEY_TABLES = arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 4)),
+                    elements=st.sampled_from(SORT_KEYS))
+
+
+@settings(max_examples=600, deadline=None)
+@given(matrix=st.one_of(matrices(dims=list(range(1, 10)) + [40]), KEY_TABLES), data=st.data())
 def test_row_order_equals_lexsort(matrix, data):
     # NaN and the infinities sort as numpy sorts them: NaN after +inf, all
     # NaNs tied with each other

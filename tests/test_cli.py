@@ -1126,10 +1126,12 @@ def test_float64_limit_cell(tmp_path, monkeypatch, table, metric, extra, word):
     data, catalog = Path("d.csv"), Path("cat.txt")
     data.write_text("".join(",".join(r) + "\n" for r in [[*columns, "cls"], *rows]))
     catalog.write_text("MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
-    reason = LIMIT_REASONS.get(word, "").format(attr=next(iter(columns)))
-    assert prioritize_outcome(data, catalog, metric, extra) == (None if word == "ok" else (
-        f"not applicable: metric {metric!r} not applicable to every MR:\n"
-        f"  MR1: {reason}\n  MR2: {reason}\n"))
+    expected = None
+    if word != "ok":
+        reason = LIMIT_REASONS[word].format(attr=next(iter(columns)))
+        expected = (f"not applicable: metric {metric!r} not applicable to every MR:\n"
+                    f"  MR1: {reason}\n  MR2: {reason}\n")
+    assert prioritize_outcome(data, catalog, metric, extra) == expected
 
 
 @pytest.mark.parametrize("compared, refused", [

@@ -1134,6 +1134,43 @@ def test_float64_limit_cell(tmp_path, monkeypatch, table, metric, extra, word):
     assert prioritize_outcome(data, catalog, metric, extra) == expected
 
 
+def prioritize_without_diagnostics(tmp_path, monkeypatch, table, metric):
+    """Run prioritize on LIMIT_TABLES[table] with --out only (the table's cells
+    always ask for --diagnostics too). It must warn of nothing; returns the
+    exit code and stderr."""
+    monkeypatch.chdir(tmp_path)
+    columns = LIMIT_TABLES[table]
+    rows = [",".join([*cells, f"c{i % 2}"]) for i, cells in enumerate(zip(*columns.values()))]
+    rows.insert(0, ",".join([*columns, "cls"]))
+    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
+    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(["prioritize", "--dataset", "d.csv", "--class-column", "cls",
+                   "--catalog", "cat.txt", "--metric", metric, "--out", "r.json"])
+    assert [str(w.message) for w in caught] == []
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("table", ["sum"])
+def test_overflowing_statistics_exit_3_without_a_warning(tmp_path, monkeypatch, table):
+    rc, err = prioritize_without_diagnostics(tmp_path, monkeypatch, table, "distribution")
+    reason = LIMIT_REASONS["stats"].format(attr="x")
+    assert (rc, err) == (3, "not applicable: metric 'distribution' not applicable to every MR:\n"
+                            f"  MR1: {reason}\n  MR2: {reason}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("metric, rc", [("rule", 0), ("distribution", 3)])
+def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, metric, rc):
+    assert prioritize_without_diagnostics(tmp_path, monkeypatch, "sum", metric)[0] == rc
+    if rc == 0:
+        json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
+    else:
+        assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("compared, refused", [
     ((math.inf, {}), "ranking.json"),                  # the raw score, in both files
     ((1.0, {"probe": math.nan}), "diagnostics.json"),  # a diagnostics field only

@@ -263,7 +263,8 @@ def cmd_prioritize(args: argparse.Namespace) -> int:
             pairs = map(lambda mr_id, followup: pair_from_files(mr_id, mr_id, source, followup),
                         files, followups)
         params = MetricParams(**{f.name: getattr(args, f.name) for f in fields(MetricParams)})
-        scores = normalize(score_catalog(pairs, args.metric, params))
+        scores = normalize(score_catalog(pairs, args.metric, params,
+                                         diagnostics=bool(args.diagnostics)))
     ranking = rank(scores)
 
     payload = {

@@ -641,6 +641,12 @@ def mean_imputed(column: np.ndarray) -> tuple[np.ndarray, float, float] | None:
     observed = column[~missing]
     if observed.size == 0:
         return None
+    low = observed.min()
+    if low == observed.max():
+        # a constant column is its own mean exactly, whatever a sum of its
+        # cells rounds to; + 0.0 makes a mix of -0.0 and 0.0 a mean of 0.0
+        mean = float(low) + 0.0
+        return np.where(missing, mean, column), mean, 0.0
     # a sum of cells near 1e308, or the squares of cells near 1e200, overflow
     # to inf, and +inf and -inf partial sums make NaN; numeric_view rejects
     # such a spread when it standardizes, and the metrics reject what the

@@ -9,14 +9,17 @@ Four metrics, each reducing a pair to a non-negative raw score:
 * ``distribution``  absolute difference of moment/spread totals
 
 ``score_catalog`` is the one scoring path.  It summarizes each side with the
-metric module's ``summarize`` and compares the summaries (``compare_rules``,
-``compare_outliers``, or ``compare_totals`` of their ``total``).  A
+metric module's ``summarize`` and compares the summaries with the one
+compare, ``compare_totals`` of their ``total``: the rule count, the flagged
+count, the k-means total or the distribution total.  Shared rules and
+matched outliers leave both sides alike, so they do not change the raw.  A
 follow-up's ``summarize`` gets the source summary: ``anomaly`` and
 ``clustering`` reuse its kernel result when the two numeric views, rows in
-``dataset.canonical_order``, are bit-equal.  The
-diagnostics hold each side's export, as ``"source"`` and ``"followup"``,
-and the compare's own fields.  ``score_pair`` and the ``*_diversity``
-helpers score one pair through it.
+``dataset.canonical_order``, are bit-equal.  The diagnostics, built only
+when they are wanted, hold each side's export, as ``"source"`` and
+``"followup"``, and the compare's fields: the module's ``compare_fields``
+(``compare_rules``, ``compare_outliers``), or else the two totals.
+``score_pair`` and the ``*_diversity`` helpers score one pair through it.
 
 ``MetricParams`` is the one object that carries the metrics' parameters;
 each kernel's defaults read its fields.  The kernels and their record types
@@ -63,21 +66,20 @@ class DiversityScore(Record):
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-# metric -> (its module, its compare(summary_s, summary_f) or None to compare
-# the summaries' ``total``).  Only the chosen module is imported.  Its
+# metric -> its module.  Only the chosen module is imported.  Its
 # ``summarize`` looks the kernel up by name on each call, for the span tracer.
 _TABLE = {
-    "rule": ("rules", "compare_rules"),
-    "anomaly": ("anomaly", "compare_outliers"),
-    "clustering": ("clustering", None),
-    "distribution": ("distribution", None),
+    "rule": "rules",
+    "anomaly": "anomaly",
+    "clustering": "clustering",
+    "distribution": "distribution",
 }
 METRICS = tuple(_TABLE)
 
 
 def compare_totals(total_s: float, total_f: float) -> tuple[float, dict]:
-    """Absolute difference of the two sides' totals."""
-    return abs(total_s - total_f), {"source_total": total_s, "followup_total": total_f}
+    """The raw score, the absolute difference of the two sides' totals, and its fields."""
+    return float(abs(total_s - total_f)), {"source_total": total_s, "followup_total": total_f}
 
 
 def score_pair(pair: MrPair, metric: str, params: MetricParams | None = None) -> DiversityScore:
@@ -93,7 +95,8 @@ def _diversity(metric: str, source, followup, params: MetricParams | None) -> tu
 
 
 def score_catalog(
-    pairs: Iterable[MrPair], metric: str, params: MetricParams | None = None
+    pairs: Iterable[MrPair], metric: str, params: MetricParams | None = None, *,
+    diagnostics: bool = True,
 ) -> list[DiversityScore]:
     """Score every pair, in order; all-or-nothing on failures.
 
@@ -105,6 +108,10 @@ def score_catalog(
     An error that ends the run (a bad metric parameter) is raised after the
     rest of the pairs are drawn, so that an error of their producer (an MR
     that cannot be applied, a bad follow-up file) still comes first.
+
+    Without *diagnostics*, each score's diagnostics stay empty and each side
+    is summarized only as far as its ``total`` needs: ``anomaly`` then runs
+    no kNN unless its squared distances could overflow.
     """
     params = params or MetricParams()
     pairs = iter(pairs)
@@ -114,26 +121,29 @@ def score_catalog(
     try:
         if metric not in _TABLE:
             raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
-        module_name, compare_name = _TABLE[metric]
-        module = import_module(f"{__name__}.{module_name}")
+        module = import_module(f"{__name__}.{_TABLE[metric]}")
+        compare_fields = getattr(module, "compare_fields", None)
         for pair in pairs:
             index = len(scores) + len(failures)
             try:
                 # a source that fails is tried again, and fails alike, for each pair
                 if pair.source is not source:
-                    summary = module.summarize(pair.source, params)
-                    source, exported = pair.source, summary.to_dict()
-                followup = module.summarize(pair.followup, params, summary)
-                if compare_name:
-                    raw, own = getattr(module, compare_name)(summary, followup)
-                else:
-                    raw, own = compare_totals(summary.total, followup.total)
-                diagnostics = {"source": exported, "followup": followup.to_dict(), **own}
+                    summary = module.summarize(pair.source, params, diagnostics=diagnostics)
+                    source = pair.source
+                    exported = summary.to_dict() if diagnostics else None
+                followup = module.summarize(pair.followup, params, summary,
+                                            diagnostics=diagnostics)
+                raw, own = compare_totals(summary.total, followup.total)
+                record = {}
+                if diagnostics:
+                    if compare_fields is not None:
+                        own = compare_fields(summary, followup)
+                    record = {"source": exported, "followup": followup.to_dict(), **own}
             except ApplicabilityError as exc:
                 failures.append(f"{pair.mr.id}: {exc}")
             else:
                 scores.append(DiversityScore(
-                    pair.mr.id, metric, raw, catalog_index=index, diagnostics=diagnostics
+                    pair.mr.id, metric, raw, catalog_index=index, diagnostics=record
                 ))
             pair = followup = None  # draw the next pair holding no follow-up
     except MrPriorError:

@@ -5,7 +5,8 @@ neighbour (itself excluded); of n rows, the f(n) = min(round_half_up(c * n),
 n - 1) highest-scoring are flagged at contamination c, ties resolved toward
 lower row indices.  Identical flagged vectors pair up and leave both sides,
 so the raw score is |f(n_source) - f(n_followup)|, whatever the rows hold;
-the kNN scores and the matching reach only the diagnostics.
+the kNN scores and the matching reach only the diagnostics.  Without them,
+``summarize`` runs no kNN unless a squared distance could overflow.
 
 Scores are found by filter and refine, in blocks of rows.  A BLAS product
 gives every squared distance of a block approximately, as
@@ -41,6 +42,17 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
+def _flag_count(n: int, k: int, contamination: float) -> int:
+    """f(n), the rows flagged among *n*, once *k* and *contamination* are checked."""
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if not 0 < contamination < 1:
+        raise InputError(f"contamination must be in (0, 1), got {contamination}")
+    if n <= k:
+        raise ApplicabilityError(f"need more than k={k} rows, got {n}")
+    return min(round_half_up(contamination * n), n - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class OutlierReport(Record):
     indices: tuple[int, ...]   # flagged rows, ascending
@@ -54,14 +66,8 @@ def knn_outliers(
     k: int = MetricParams.knn_k,
     contamination: float = MetricParams.contamination,
 ) -> OutlierReport:
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    if not 0 < contamination < 1:
-        raise InputError(f"contamination must be in (0, 1), got {contamination}")
     n = view.n_rows
-    if n <= k:
-        raise ApplicabilityError(f"need more than k={k} rows, got {n}")
-
+    _flag_count(n, k, contamination)   # checks the parameters
     x = view.matrix
     d = x.shape[1]
     rows = max(1, BLOCK_ELEMENTS // n)
@@ -126,7 +132,7 @@ def knn_outliers(
 def _flag(scores: np.ndarray, k: int, contamination: float) -> OutlierReport:
     """The report that flags the f(n) highest of the rows' kth-NN *scores*."""
     n = len(scores)
-    n_flag = min(round_half_up(contamination * n), n - 1)
+    n_flag = _flag_count(n, k, contamination)
     order = np.lexsort((np.arange(n), -scores))   # score descending, then index
     flagged = tuple(np.sort(order[:n_flag]).tolist())
 
@@ -138,7 +144,8 @@ def _flag(scores: np.ndarray, k: int, contamination: float) -> OutlierReport:
 
 @dataclass(frozen=True, eq=False)
 class AnomalySummary:
-    report: OutlierReport
+    total: int                       # the flagged rows' count, f(n)
+    report: OutlierReport | None     # None when no kNN ran: diagnostics were not wanted
     feature_names: tuple[str, ...]   # numeric attribute names, in name order (numeric_view's)
     raw: np.ndarray                  # imputed, unstandardized rows; columns in feature_names order
     # the view's rows in canonical order and its row at each place (empty: matches no view)
@@ -149,8 +156,13 @@ class AnomalySummary:
         return self.report.to_dict()
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> AnomalySummary:
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None, *,
+              diagnostics: bool = True) -> AnomalySummary:
     """One side of the ``anomaly`` metric: kth-NN outliers of its numeric view.
+
+    Without *diagnostics*, the summary is the flagged count f(n) alone, and
+    no kNN runs, as long as 8 times the largest squared row norm is finite:
+    the kernel's own condition for no squared distance to overflow.
 
     *source* is a summary made with the same *params*.  When its rows, in
     ``dataset.canonical_order``, are bit-equal to this view's, each row takes
@@ -162,8 +174,11 @@ def summarize(dataset: Dataset, params: MetricParams | None = None, source=None)
     """
     params = params or MetricParams()
     view = numeric_view(dataset, standardize=params.standardize)
-    order, rows = view.sorted_rows
+    n_flag = _flag_count(view.n_rows, params.knn_k, params.contamination)
     with np.errstate(all="ignore"):
+        if not diagnostics and np.isfinite(8 * (view.matrix * view.matrix).sum(axis=1).max()):
+            return AnomalySummary(n_flag, None, view.feature_names, view.raw)
+        order, rows = view.sorted_rows
         if source is not None and same_bits(rows, source.rows):
             scores = np.empty(view.n_rows)
             scores[order] = source.report.scores[source.order]
@@ -175,17 +190,20 @@ def summarize(dataset: Dataset, params: MetricParams | None = None, source=None)
             f"dataset {dataset.name!r}: kth-NN distances overflow float64 "
             "(standardize the features or rescale them)"
         )
-    return AnomalySummary(report, view.feature_names, view.raw, rows, order)
+    return AnomalySummary(n_flag, report, view.feature_names, view.raw, rows, order)
 
 
-def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[float, dict]:
-    """Absolute difference of surviving outlier counts between the sides.
+def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> dict:
+    """The diagnostics fields of the ``anomaly`` compare: identical outliers
+    matched across the sides, and each side's outliers once those are
+    discarded.  A match leaves both sides, so the raw score is still
+    |f(n_source) - f(n_followup)|.
 
     Outliers whose raw (unstandardized, imputed) feature vectors are exactly
-    identical across the two sides are discarded pairwise before counting:
-    each source outlier, in index order, takes the lowest-index unmatched
-    identical follow-up outlier.  Vectors are aligned by attribute name and
-    never matched when the two sides expose different numeric attributes.
+    identical across the two sides are discarded pairwise: each source
+    outlier, in index order, takes the lowest-index unmatched identical
+    follow-up outlier.  Vectors are aligned by attribute name and never
+    matched when the two sides expose different numeric attributes.
     """
     report_s, report_f = source.report, followup.report
     matches: list[tuple[int, int]] = []
@@ -201,13 +219,14 @@ def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> tuple[
             if candidates:
                 matches.append((i, candidates.pop()))
 
-    surviving_s = len(report_s.indices) - len(matches)
-    surviving_f = len(report_f.indices) - len(matches)
-    return float(abs(surviving_s - surviving_f)), {
+    return {
         "identical_pairs": [[int(a), int(b)] for a, b in matches],
-        "surviving_source": surviving_s,
-        "surviving_followup": surviving_f,
+        "surviving_source": len(report_s.indices) - len(matches),
+        "surviving_followup": len(report_f.indices) - len(matches),
     }
+
+
+compare_fields = compare_outliers   # score_catalog's name for it
 
 
 def anomaly_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):

@@ -3,8 +3,9 @@
 All moments are population moments (denominator n).  Skewness is
 m3 / m2^1.5 and kurtosis is excess kurtosis m4 / m2^2 - 3.  Attributes with
 fewer than three observed values or zero variance contribute 0 to both shape
-terms and are flagged.  A dataset whose statistics or totals overflow
-float64 is not applicable.
+terms and are flagged; a column whose cells are all equal has zero variance
+exactly.  A dataset whose statistics or totals overflow float64 is not
+applicable.
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ def _column_stats(name: str, values: np.ndarray) -> AttributeStats:
     # row permutation of the dataset
     values = np.sort(values)
     n = values.size
-    if n == 0:
-        return AttributeStats(name, 0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
+    # an empty or constant column; the rounded mean of a constant one may
+    # differ from its cells, so its variance is not computed
+    if n == 0 or values[0] == values[-1]:
+        return AttributeStats(name, n, 0.0, 0.0, 0.0, 0.0, 0.0, True)
     mean = float(np.mean(values))
     centered = values - mean
     m2 = float(np.mean(centered**2))
@@ -96,9 +99,11 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
 
 
 def summarize(
-    dataset: Dataset, params: MetricParams | None = None, source=None
+    dataset: Dataset, params: MetricParams | None = None, source=None, *,
+    diagnostics: bool = True,
 ) -> DistributionSummary:
-    """One side of the ``distribution`` metric; it has no parameters and reuses nothing."""
+    """One side of the ``distribution`` metric; it has no parameters, reuses
+    nothing and exports the same summary whether *diagnostics* are wanted or not."""
     return dist_summary(dataset)
 
 

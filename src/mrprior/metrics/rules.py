@@ -56,6 +56,10 @@ class RuleSet(Record):
     rules: tuple[Rule, ...]
     default_class: str
 
+    @property
+    def total(self) -> int:
+        return len(self.rules)
+
 
 @dataclass(frozen=True)
 class _Selector:
@@ -256,23 +260,28 @@ def cn2_induce(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
     return RuleSet(tuple(rules), class_attr.values[default_code])
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> RuleSet:
-    """One side of the ``rule`` metric: its CN2 rule set; *source* goes unused."""
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None, *,
+              diagnostics: bool = True) -> RuleSet:
+    """One side of the ``rule`` metric: its CN2 rule set; *source* and
+    *diagnostics* go unused."""
     return cn2_induce(dataset, params)
 
 
-def compare_rules(source: RuleSet, followup: RuleSet) -> tuple[float, dict]:
-    """Absolute difference of rule counts after discarding shared rules."""
+def compare_rules(source: RuleSet, followup: RuleSet) -> dict:
+    """The diagnostics fields of the ``rule`` compare: the rules shared
+    verbatim, and each side's rules once those are discarded.  Shared rules
+    leave both sides, so the raw score is still |R_s - R_f|."""
     ids_s = {r.identity() for r in source.rules}
     ids_f = {r.identity() for r in followup.rules}
     shared = ids_s & ids_f
-    surviving_s = [r for r in source.rules if r.identity() not in shared]
-    surviving_f = [r for r in followup.rules if r.identity() not in shared]
-    return float(abs(len(surviving_s) - len(surviving_f))), {
+    return {
         "shared_rules": len(shared),
-        "surviving_source": len(surviving_s),
-        "surviving_followup": len(surviving_f),
+        "surviving_source": sum(r.identity() not in shared for r in source.rules),
+        "surviving_followup": sum(r.identity() not in shared for r in followup.rules),
     }
+
+
+compare_fields = compare_rules   # score_catalog's name for it
 
 
 def rule_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):

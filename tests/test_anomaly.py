@@ -269,7 +269,7 @@ def loop_matches(source, followup):
 
 def outlier_summary(raw, flagged, names=("a", "b")):
     report = OutlierReport(tuple(flagged), np.zeros(len(raw)), 2, 0.1)
-    return AnomalySummary(report, names, np.array(raw, dtype=float))
+    return AnomalySummary(len(flagged), report, names, np.array(raw, dtype=float))
 
 
 class TestOutlierMatching:
@@ -285,20 +285,20 @@ class TestOutlierMatching:
             flag_f = sorted(rng.choice(len(raw_f), int(rng.integers(0, len(raw_f))), replace=False))
             s, f = outlier_summary(raw_s, flag_s), outlier_summary(raw_f, flag_f)
             expected = loop_matches(s, f)
-            _, diag = compare_outliers(s, f)
+            diag = compare_outliers(s, f)
             assert diag["identical_pairs"] == expected
             assert diag["surviving_source"] == len(flag_s) - len(expected)
 
     def test_signed_zero_and_duplicates(self):
         s = outlier_summary([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]], [0, 1, 2])
         f = outlier_summary([[2.0, 2.0], [-0.0, 1.0], [5.0, 5.0], [0.0, 1.0]], [0, 1, 2, 3])
-        _, diag = compare_outliers(s, f)
+        diag = compare_outliers(s, f)
         assert diag["identical_pairs"] == [[0, 1], [1, 3], [2, 0]] == loop_matches(s, f)
 
     def test_different_features_never_match(self):
         s = outlier_summary([[1.0, 1.0]], [0])
         f = outlier_summary([[1.0, 1.0]], [0], names=("a", "c"))
-        assert compare_outliers(s, f)[1]["identical_pairs"] == loop_matches(s, f) == []
+        assert compare_outliers(s, f)["identical_pairs"] == loop_matches(s, f) == []
 
 
 class TestAnomalyDiversity:

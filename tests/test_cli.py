@@ -785,6 +785,22 @@ def test_bad_metric_parameter_exits_2_once(config_workspace, monkeypatch, capsys
     assert not (ws["dir"] / "r.json").exists()
 
 
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["plain", "diagnostics"])
+def test_an_mr_that_cannot_be_applied_wins_over_a_bad_knn_k(config_workspace, monkeypatch,
+                                                            capsys, diagnostics):
+    # --knn-k is checked whether or not the kNN runs, once every pair is drawn
+    ws = config_workspace
+    monkeypatch.chdir(ws["dir"])
+    write(ws["dir"] / "drop.txt", "MR1 ident identity\nMR2 drop remove_class label=zz\n")
+    rc = main(["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+               "--catalog", "drop.txt", "--metric", "anomaly", "--knn-k", "0", "--out", "r.json",
+               *(["--diagnostics", "d.json"] if diagnostics else [])])
+    assert rc == 3
+    assert capsys.readouterr().err == ("not applicable: catalog could not be applied:\n"
+                                       "  MR2: MR MR2: class value 'zz' does not exist\n")
+    assert not (ws["dir"] / "r.json").exists() and not (ws["dir"] / "d.json").exists()
+
+
 @pytest.fixture
 def seed_workspace(config_workspace):
     """config_workspace plus two reports over 24 mutants: enough for a sampled null."""
@@ -1018,28 +1034,31 @@ def _reject_constant(name):
     raise AssertionError(f"{name} in JSON output")
 
 
-def prioritize_outcome(data, catalog, metric, extra=()):
-    """Run prioritize on *data* and *catalog*, with --out and --diagnostics
-    in their directory. It must warn of nothing, and end in exit 0 with an
-    empty stderr and finite JSON in both files, or in exit 3 with neither
-    file. Returns the stderr of exit 3, or None for exit 0."""
+def prioritize_outcome(data, catalog, metric, extra=(), diagnostics=True):
+    """Run prioritize on *data* and *catalog*, with --out, and --diagnostics
+    unless *diagnostics* is false, in their directory. It must warn of
+    nothing, and end in exit 0 with an empty stderr and finite JSON in every
+    file, or in exit 3 with no file. Returns (stderr, None) for exit 3, or
+    (None, the ranking) for exit 0."""
     out, diag = data.parent / "r.json", data.parent / "d.json"
+    argv = ["--out", str(out), *(["--diagnostics", str(diag)] if diagnostics else [])]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
         warnings.simplefilter("always")
         rc = main(["prioritize", "--dataset", str(data), "--class-column", "cls",
-                   "--catalog", str(catalog), "--metric", metric, *extra,
-                   "--out", str(out), "--diagnostics", str(diag)])
+                   "--catalog", str(catalog), "--metric", metric, *extra, *argv])
     assert [str(w.message) for w in caught] == [], (metric, extra)
     if rc == 0:
         assert err.getvalue() == ""
-        for path in (out, diag):
-            json.loads(path.read_text(), parse_constant=_reject_constant)
-            path.unlink()
-        return None
+        ranking = json.loads(out.read_text(), parse_constant=_reject_constant)["ranking"]
+        out.unlink()
+        if diagnostics:
+            json.loads(diag.read_text(), parse_constant=_reject_constant)
+            diag.unlink()
+        return None, ranking
     assert rc == 3, (metric, extra, err.getvalue())
     assert not out.exists() and not diag.exists()
-    return err.getvalue()
+    return err.getvalue(), None
 
 
 def _x_and_y(cells):
@@ -1067,8 +1086,8 @@ LIMIT_TABLES = {
     # distance sums nine columns and overflows
     "nine-column": {f"x{j}": ["5e153", "-5e153", *(str(i % 4) for i in range(18))]
                     for j in range(9)},
-    # mean 1.7e308 and spread 0, but the mean is taken from an overflowing sum
-    # (the mean_imputed FOUND in CHANGES.md): pinned as it is
+    # a sum of its cells overflows, but a constant column is its own mean,
+    # with spread 0: standardizing leaves it unscaled, so k-means overflows
     "const": _x_and_y(["1.7e308"] * 8),
 }
 
@@ -1091,18 +1110,18 @@ LIMIT_REASONS = {
 # what each metric does with each table, standardized and with
 # --no-standardize: "ok" is exit 0, any other word the reason of exit 3
 LIMIT = {
-    #               rule           anomaly     clustering      distribution
-    #               std    raw     std  raw    std  raw        std   raw
-    "huge":        "ok     ok      std  knn    std  seeding    stats stats",
-    "sum":         "ok     ok      std  ok     std  seeding    stats stats",
-    "range":       "impute impute  std  ok     std  seeding    stats stats",
-    "power":       "ok     ok      ok   ok     ok   ok         stats stats",
-    "imputed-inf": "impute impute  std  knn    std  seeding    stats stats",
-    "imputed-nan": "impute impute  std  knn    std  seeding    stats stats",
-    "knn":         "ok     ok      std  knn    std  seeding    stats stats",
-    "seeding":     "ok     ok      ok   ok     ok   seeding    stats stats",
-    "nine-column": "ok     ok      ok   knn    ok   seeding    stats stats",
-    "const":       "ok     ok      std  ok     std  kmeans     stats stats",
+    #               rule            anomaly   clustering       distribution
+    #               std     raw     std  raw  std     raw      std    raw
+    "huge":        "ok      ok      std  knn  std     seeding  stats  stats",
+    "sum":         "ok      ok      std  ok   std     seeding  stats  stats",
+    "range":       "impute  impute  std  ok   std     seeding  stats  stats",
+    "power":       "ok      ok      ok   ok   ok      ok       stats  stats",
+    "imputed-inf": "impute  impute  std  knn  std     seeding  stats  stats",
+    "imputed-nan": "impute  impute  std  knn  std     seeding  stats  stats",
+    "knn":         "ok      ok      std  knn  std     seeding  stats  stats",
+    "seeding":     "ok      ok      ok   ok   ok      seeding  stats  stats",
+    "nine-column": "ok      ok      ok   knn  ok      seeding  stats  stats",
+    "const":       "ok      ok      ok   ok   kmeans  kmeans   ok     ok",
 }
 METRICS = ("rule", "anomaly", "clustering", "distribution")
 SETTINGS = ([], ["--no-standardize"])
@@ -1131,44 +1150,11 @@ def test_float64_limit_cell(tmp_path, monkeypatch, table, metric, extra, word):
         reason = LIMIT_REASONS[word].format(attr=next(iter(columns)))
         expected = (f"not applicable: metric {metric!r} not applicable to every MR:\n"
                     f"  MR1: {reason}\n  MR2: {reason}\n")
-    assert prioritize_outcome(data, catalog, metric, extra) == expected
-
-
-def prioritize_without_diagnostics(tmp_path, monkeypatch, table, metric):
-    """Run prioritize on LIMIT_TABLES[table] with --out only (the table's cells
-    always ask for --diagnostics too). It must warn of nothing; returns the
-    exit code and stderr."""
-    monkeypatch.chdir(tmp_path)
-    columns = LIMIT_TABLES[table]
-    rows = [",".join([*cells, f"c{i % 2}"]) for i, cells in enumerate(zip(*columns.values()))]
-    rows.insert(0, ",".join([*columns, "cls"]))
-    write(tmp_path / "d.csv", "\n".join(rows) + "\n")
-    write(tmp_path / "cat.txt", "MR1 ident identity\nMR2 shuffle permute_instances seed=1\n")
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-        warnings.simplefilter("always")
-        rc = main(["prioritize", "--dataset", "d.csv", "--class-column", "cls",
-                   "--catalog", "cat.txt", "--metric", metric, "--out", "r.json"])
-    assert [str(w.message) for w in caught] == []
-    return rc, err.getvalue()
-
-
-@pytest.mark.parametrize("table", ["sum"])
-def test_overflowing_statistics_exit_3_without_a_warning(tmp_path, monkeypatch, table):
-    rc, err = prioritize_without_diagnostics(tmp_path, monkeypatch, table, "distribution")
-    reason = LIMIT_REASONS["stats"].format(attr="x")
-    assert (rc, err) == (3, "not applicable: metric 'distribution' not applicable to every MR:\n"
-                            f"  MR1: {reason}\n  MR2: {reason}\n")
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("metric, rc", [("rule", 0), ("distribution", 3)])
-def test_overflowing_mean_prints_no_warning(tmp_path, monkeypatch, metric, rc):
-    assert prioritize_without_diagnostics(tmp_path, monkeypatch, "sum", metric)[0] == rc
-    if rc == 0:
-        json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
-    else:
-        assert not (tmp_path / "r.json").exists()
+    outcome = prioritize_outcome(data, catalog, metric, extra)
+    assert outcome[0] == expected
+    # without --diagnostics, where anomaly runs the kNN only when a squared
+    # distance could overflow: the same exit, stderr and ranking
+    assert prioritize_outcome(data, catalog, metric, extra, diagnostics=False) == outcome
 
 
 @pytest.mark.parametrize("compared, refused", [
@@ -1281,7 +1267,7 @@ def test_extreme_cells_exit_0_with_valid_json_or_3_naming_every_mr(table):
         for lines in (EXTREME_CATALOG[:3], EXTREME_CATALOG):
             catalog.write_text("".join(line + "\n" for line in lines))
             for metric, extra in product(METRICS, SETTINGS):
-                err = prioritize_outcome(data, catalog, metric, extra)
+                err, _ = prioritize_outcome(data, catalog, metric, extra)
                 if err is None:
                     continue
                 header, *failed = err.splitlines()

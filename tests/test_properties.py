@@ -3,8 +3,11 @@
 * ``INVARIANT``, what each metric cannot see: an MR scores exactly 0.0
   under each metric of its row, so it is never ranked by float noise.
 * Laws of every metric and MR: the raw score is symmetric, equals the
-  difference of the compare's fields, and is |f(n_source) - f(n_followup)|
-  under ``anomaly``; the identity shares every rule and flagged outlier.
+  difference of the compare's fields, is |f(n_source) - f(n_followup)|
+  under ``anomaly``, and is the same when no diagnostics are wanted; the
+  identity shares every rule and flagged outlier.
+* A constant column, missing cells included, is exactly constant: the
+  standardized view keeps its value and ``distribution`` flags it.
 * ``score_catalog``, which summarizes each source once and shares it, gives
   the same raw scores and diagnostics as scoring each pair on its own, and
   the same for a generator of pairs as for their list.
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from mrprior.catalog import MrPair, MrSpec, apply_mr, build_pairs
 from mrprior.errors import ApplicabilityError
-from mrprior.dataset import numeric_view
+from mrprior.dataset import numeric_view, same_bits
 from mrprior.metrics import METRICS, MetricParams, anomaly, score_catalog, score_pair
 from mrprior.metrics.clustering import kmeans_summary
 from mrprior.metrics.distribution import dist_summary
@@ -38,6 +41,13 @@ COMMON = dict(deadline=None, derandomize=True, database=None)
 # sums whose value depends on the order they are added in
 CELLS = st.one_of(
     st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+# values for a constant column: copies of a non-dyadic value such as 0.1
+# add up to a rounded sum, so their computed mean need not be the value
+CONSTANTS = st.one_of(
+    st.sampled_from([0.1, 0.7, -2.3, 1 / 3]),
     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
 )
 
@@ -89,9 +99,9 @@ NOT_RULE = ("anomaly", "clustering", "distribution")
 # What each metric cannot see.  An MR, as a catalog line, maps to the metrics
 # under which it must score exactly 0.0, under default parameters with and
 # without standardization; a metric's condition, if any, names the pairs and
-# parameters for which its cell holds.  {seed} is drawn; {rotation} maps each
-# class value to the next, {codes} maps each to its index.  Cells left out
-# are sensitivities (README, "What it computes").
+# parameters for which its cell holds.  {seed} and {value} are drawn;
+# {rotation} maps each class value to the next, {codes} maps each to its
+# index.  Cells left out are sensitivities (README, "What it computes").
 INVARIANT = {
     "identity": dict.fromkeys(METRICS),
     "permute_instances seed={seed}": dict.fromkeys(METRICS),
@@ -99,6 +109,7 @@ INVARIANT = {
     "affine_numeric scale=2": {"rule": None, "anomaly": None, "clustering": standardized},
     "affine_numeric scale=0.5": {"rule": None, "anomaly": None, "clustering": standardized},
     "add_uninformative_attribute value=1": dict.fromkeys(METRICS),
+    "add_uninformative_attribute value={value}": dict.fromkeys(METRICS),
     "add_uninformative_attribute value=u": dict.fromkeys(NOT_RULE),
     "relabel_classes map={rotation}": dict.fromkeys(NOT_RULE),
     "add_informative_attribute map={codes}": {"anomaly": None},
@@ -117,11 +128,12 @@ PARAMS = (MetricParams(), MetricParams(standardize=False))
 SEEDS = st.integers(0, 2**16)
 
 
-def _mr(spec: str, source, seed: int) -> MrSpec:
+def _mr(spec: str, source, seed: int, value: float = 0.1) -> MrSpec:
     """The MR of catalog line *spec*, its placeholders filled in for *source*."""
     values = source.attributes[source.class_index].values
     transform, *tokens = spec.format(
         seed=seed,
+        value=value,
         rotation=",".join(f"{a}:{b}" for a, b in zip(values, values[1:] + values[:1])),
         codes=",".join(f"{v}:{i}" for i, v in enumerate(values)),
     ).split()
@@ -130,8 +142,8 @@ def _mr(spec: str, source, seed: int) -> MrSpec:
     return MrSpec(spec, transform, transform, params, mr_seed)
 
 
-def _check_cell(spec, metric, source, seed):
-    [pair] = build_pairs([_mr(spec, source, seed)], source)
+def _check_cell(spec, metric, source, seed, value=0.1):
+    [pair] = build_pairs([_mr(spec, source, seed, value)], source)
     if pair.mr.transform == "permute_attributes":
         # a seed may draw the identity permutation (seed=1 on three attributes does)
         assume(pair.followup.attributes != source.attributes)
@@ -146,16 +158,16 @@ def _check_cell(spec, metric, source, seed):
 
 @pytest.mark.parametrize("spec, metric", INVARIANT_CELLS)
 @settings(max_examples=8, **COMMON)
-@given(source=mixed_datasets(), seed=SEEDS)
-def test_invariant_cell_on_narrow_tables(spec, metric, source, seed):
-    _check_cell(spec, metric, source, seed)
+@given(source=mixed_datasets(), seed=SEEDS, value=CONSTANTS)
+def test_invariant_cell_on_narrow_tables(spec, metric, source, seed, value):
+    _check_cell(spec, metric, source, seed, value)
 
 
 @pytest.mark.parametrize("spec, metric", INVARIANT_CELLS)
 @settings(max_examples=8, **COMMON)
-@given(source=wide_datasets(), seed=SEEDS)
-def test_invariant_cell_on_wide_tables(spec, metric, source, seed):
-    _check_cell(spec, metric, source, seed)
+@given(source=wide_datasets(), seed=SEEDS, value=CONSTANTS)
+def test_invariant_cell_on_wide_tables(spec, metric, source, seed, value):
+    _check_cell(spec, metric, source, seed, value)
 
 
 @pytest.mark.parametrize("table_seed", [18, 260, 285])
@@ -166,14 +178,35 @@ def test_constant_column_changes_no_bit_of_kmeans(table_seed):
     _check_cell("add_uninformative_attribute value=1", "clustering", source, 0)
 
 
+@settings(max_examples=60, **COMMON)
+@given(value=CONSTANTS | st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+def test_a_constant_column_with_missing_cells_stays_constant(value, data):
+    missing = data.draw(st.lists(st.booleans(), min_size=2, max_size=40)
+                        .filter(lambda m: any(m) and not all(m)))
+    n_rows = len(missing)
+    source = make_dataset({"c": [None if m else value for m in missing],
+                           "x": [float(i) for i in range(n_rows)]})
+    view = numeric_view(source, standardize=True)
+    assert view.constant_mask.tolist() == [True, False]
+    # observed cells keep their bits, a missing one takes value + 0.0
+    expected = np.where(missing, value + 0.0, value)
+    assert same_bits(view.raw[:, 0], expected) and same_bits(view.matrix[:, 0], expected)
+    stats = dist_summary(source).attributes[0]
+    assert stats.shape_flagged and (stats.range, stats.variance, stats.stddev) == (0.0,) * 3
+
+
 def _check_laws(metric, source, seed, standardize):
-    """Symmetry, the compare's fields and the anomaly count, on every MR."""
+    """Symmetry, the compare's fields, the anomaly count and the raw scores
+    without diagnostics, on every MR."""
     # the thinned follow-up must keep more than knn_k=5 rows
     assume(source.n_rows >= 7)
     params = MetricParams(standardize=standardize)
     pairs = list(build_pairs([_mr(spec, source, seed) for spec in LAW_CATALOG], source))
     swapped = [MrPair(pair.mr, pair.followup, pair.source) for pair in pairs]
     scores = score_catalog(pairs, metric, params)
+    plain = score_catalog(pairs, metric, params, diagnostics=False)
+    assert [(s.mr_id, s.raw, s.diagnostics) for s in plain] == [
+        (s.mr_id, s.raw, {}) for s in scores]
     for pair, score, back in zip(pairs, scores, score_catalog(swapped, metric, params)):
         diag = score.diagnostics
         assert score.raw == back.raw, pair.mr.id

@@ -4,7 +4,8 @@ the source's kNN scores or k-means summary; the outputs must not change.
 ``anomaly.summarize`` and ``clustering.summarize`` take the source summary
 as their third argument.  Each test here compares that path with a
 recompute (the same call without the source summary), bit for bit, and
-counts which follow-ups still run the kernel.
+counts which follow-ups still run the kernel.  A run without diagnostics
+runs the kNN only on a side whose squared distances could overflow.
 """
 
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrprior import MetricParams, MrSpec, apply_mr, build_pairs, score_catalog
+from mrprior.cli import main
 from mrprior.metrics import anomaly, clustering
 
 from conftest import make_dataset
@@ -156,3 +158,29 @@ def test_a_changed_bit_runs_the_kernel(monkeypatch, standardize, change):
         reused = module.summarize(followup, params, summary)
         assert len(calls) == 1, kernel
         assert bits(reused) == bits(module.summarize(followup, params)), kernel
+
+
+@pytest.mark.parametrize("standardize, plain_calls, diagnostics_calls", [(True, 0, 2),
+                                                                          (False, 3, 3)])
+def test_a_run_without_diagnostics_runs_no_knn_unless_the_norm_bound_overflows(
+        tmp_path, monkeypatch, standardize, plain_calls, diagnostics_calls):
+    # unstandardized, 1e154 squared is 1e308 and 8 x 1e308 overflows, so
+    # every side runs the kNN, whose distances stay finite; standardized, none
+    monkeypatch.chdir(tmp_path)
+    cells = ["1e154", *map(str, range(11))]
+    (tmp_path / "d.csv").write_text(
+        "x,cls\n" + "".join(f"{x},c{i % 2}\n" for i, x in enumerate(cells)))
+    # follow-ups that keep the 1e154 row and change the others; standardized,
+    # the shift's rows are the source's, so with diagnostics it reuses them
+    (tmp_path / "cat.txt").write_text("MR1 shift affine_numeric shift=1\n"
+                                      "MR2 points add_data_points count=2 seed=1\n")
+    argv = ["prioritize", "--dataset", "d.csv", "--class-column", "cls", "--catalog", "cat.txt",
+            "--metric", "anomaly", *([] if standardize else ["--no-standardize"])]
+    calls = counting(monkeypatch, anomaly, "knn_outliers")
+    assert main([*argv, "--out", "plain.json"]) == 0
+    assert len(calls) == plain_calls
+    assert main([*argv, "--out", "diag.json", "--diagnostics", "d.json"]) == 0
+    assert len(calls) == plain_calls + diagnostics_calls
+    rankings = [json.loads((tmp_path / f).read_text())["ranking"]
+                for f in ("plain.json", "diag.json")]
+    assert rankings[0] == rankings[1]

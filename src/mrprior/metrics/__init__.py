@@ -17,8 +17,9 @@ follow-up's ``summarize`` gets the source summary: ``anomaly`` and
 ``clustering`` reuse its kernel result when the two numeric views, rows in
 ``dataset.canonical_order``, are bit-equal.  The diagnostics, built only
 when they are wanted, hold each side's export, as ``"source"`` and
-``"followup"``, and the compare's fields: the module's ``compare_fields``
-(``compare_rules``, ``compare_outliers``), or else the two totals.
+``"followup"``, and the compare's fields: those of the module's
+``compare_fields`` (``rule``'s and ``anomaly``'s), or else the two totals.
+``anomaly``'s ``summarize`` alone is told whether they are wanted.
 ``score_pair`` and the ``*_diversity`` helpers score one pair through it.
 
 ``MetricParams`` is the one object that carries the metrics' parameters;
@@ -30,6 +31,7 @@ come from their own modules (``mrprior.metrics.rules``, ...) or from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import import_module
 from typing import TYPE_CHECKING, Iterable
 
@@ -122,17 +124,19 @@ def score_catalog(
         if metric not in _TABLE:
             raise ApplicabilityError(f"unknown metric {metric!r}; choose one of {METRICS}")
         module = import_module(f"{__name__}.{_TABLE[metric]}")
+        summarize = module.summarize
+        if metric == "anomaly":   # the one summary that runs less without diagnostics
+            summarize = partial(summarize, diagnostics=diagnostics)
         compare_fields = getattr(module, "compare_fields", None)
         for pair in pairs:
             index = len(scores) + len(failures)
             try:
                 # a source that fails is tried again, and fails alike, for each pair
                 if pair.source is not source:
-                    summary = module.summarize(pair.source, params, diagnostics=diagnostics)
+                    summary = summarize(pair.source, params)
                     source = pair.source
                     exported = summary.to_dict() if diagnostics else None
-                followup = module.summarize(pair.followup, params, summary,
-                                            diagnostics=diagnostics)
+                followup = summarize(pair.followup, params, summary)
                 raw, own = compare_totals(summary.total, followup.total)
                 record = {}
                 if diagnostics:

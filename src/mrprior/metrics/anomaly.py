@@ -53,6 +53,15 @@ def _flag_count(n: int, k: int, contamination: float) -> int:
     return min(round_half_up(contamination * n), n - 1)
 
 
+def _norms(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Each row's squared norm, the largest, and whether 8 times the largest
+    is finite: the kernel's condition for no squared distance to overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (x * x).sum(axis=1)
+        top = norms.max()
+        return norms, top, bool(np.isfinite(8 * top))
+
+
 @dataclass(frozen=True, eq=False)
 class OutlierReport(Record):
     indices: tuple[int, ...]   # flagged rows, ascending
@@ -92,10 +101,8 @@ def knn_outliers(
     # included, and a pair takes fewer than 16 (d + 2) operations.  While
     # 8 max s is finite no approximate or exact squared distance overflows;
     # otherwise E_i is infinite and every column is a candidate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = (x * x).sum(axis=1)
-        top = norms.max()
-        slack = 8 * (d + 2) * _UNIT_ROUNDOFF if np.isfinite(8 * top) else np.inf
+    norms, top, bounded = _norms(x)
+    slack = 8 * (d + 2) * _UNIT_ROUNDOFF if bounded else np.inf
     floor = 16 * (d + 2) * _SMALLEST_NORMAL
 
     for a in range(0, n, rows):
@@ -175,10 +182,10 @@ def summarize(dataset: Dataset, params: MetricParams | None = None, source=None,
     params = params or MetricParams()
     view = numeric_view(dataset, standardize=params.standardize)
     n_flag = _flag_count(view.n_rows, params.knn_k, params.contamination)
+    if not diagnostics and _norms(view.matrix)[2]:
+        return AnomalySummary(n_flag, None, view.feature_names, view.raw)
+    order, rows = view.sorted_rows
     with np.errstate(all="ignore"):
-        if not diagnostics and np.isfinite(8 * (view.matrix * view.matrix).sum(axis=1).max()):
-            return AnomalySummary(n_flag, None, view.feature_names, view.raw)
-        order, rows = view.sorted_rows
         if source is not None and same_bits(rows, source.rows):
             scores = np.empty(view.n_rows)
             scores[order] = source.report.scores[source.order]
@@ -193,7 +200,7 @@ def summarize(dataset: Dataset, params: MetricParams | None = None, source=None,
     return AnomalySummary(n_flag, report, view.feature_names, view.raw, rows, order)
 
 
-def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> dict:
+def compare_fields(source: AnomalySummary, followup: AnomalySummary) -> dict:
     """The diagnostics fields of the ``anomaly`` compare: identical outliers
     matched across the sides, and each side's outliers once those are
     discarded.  A match leaves both sides, so the raw score is still
@@ -224,9 +231,6 @@ def compare_outliers(source: AnomalySummary, followup: AnomalySummary) -> dict:
         "surviving_source": len(report_s.indices) - len(matches),
         "surviving_followup": len(report_f.indices) - len(matches),
     }
-
-
-compare_fields = compare_outliers   # score_catalog's name for it
 
 
 def anomaly_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):

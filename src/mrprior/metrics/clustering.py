@@ -171,10 +171,8 @@ def kmeans_summary(
     )
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None, source=None, *,
-              diagnostics: bool = True) -> ClusterSummary:
-    """One side of the ``clustering`` metric: k-means on its numeric view;
-    *diagnostics* goes unused.
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> ClusterSummary:
+    """One side of the ``clustering`` metric: k-means on its numeric view.
 
     *source*, a summary made with the same *params*, is returned when its
     sorted rows are bit-equal to this view's.  Unstandardized cells near the

@@ -99,11 +99,9 @@ def dist_summary(dataset: Dataset) -> DistributionSummary:
 
 
 def summarize(
-    dataset: Dataset, params: MetricParams | None = None, source=None, *,
-    diagnostics: bool = True,
+    dataset: Dataset, params: MetricParams | None = None, source=None
 ) -> DistributionSummary:
-    """One side of the ``distribution`` metric; it has no parameters, reuses
-    nothing and exports the same summary whether *diagnostics* are wanted or not."""
+    """One side of the ``distribution`` metric; it has no parameters and reuses nothing."""
     return dist_summary(dataset)
 
 

@@ -260,14 +260,12 @@ def cn2_induce(dataset: Dataset, params: MetricParams | None = None) -> RuleSet:
     return RuleSet(tuple(rules), class_attr.values[default_code])
 
 
-def summarize(dataset: Dataset, params: MetricParams | None = None, source=None, *,
-              diagnostics: bool = True) -> RuleSet:
-    """One side of the ``rule`` metric: its CN2 rule set; *source* and
-    *diagnostics* go unused."""
+def summarize(dataset: Dataset, params: MetricParams | None = None, source=None) -> RuleSet:
+    """One side of the ``rule`` metric: its CN2 rule set; *source* goes unused."""
     return cn2_induce(dataset, params)
 
 
-def compare_rules(source: RuleSet, followup: RuleSet) -> dict:
+def compare_fields(source: RuleSet, followup: RuleSet) -> dict:
     """The diagnostics fields of the ``rule`` compare: the rules shared
     verbatim, and each side's rules once those are discarded.  Shared rules
     leave both sides, so the raw score is still |R_s - R_f|."""
@@ -279,9 +277,6 @@ def compare_rules(source: RuleSet, followup: RuleSet) -> dict:
         "surviving_source": sum(r.identity() not in shared for r in source.rules),
         "surviving_followup": sum(r.identity() not in shared for r in followup.rules),
     }
-
-
-compare_fields = compare_rules   # score_catalog's name for it
 
 
 def rule_diversity(source: Dataset, followup: Dataset, params: MetricParams | None = None):

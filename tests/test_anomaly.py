@@ -23,7 +23,7 @@ from mrprior import (
     numeric_view,
 )
 from mrprior.metrics import anomaly
-from mrprior.metrics.anomaly import AnomalySummary, OutlierReport, compare_outliers
+from mrprior.metrics.anomaly import AnomalySummary, OutlierReport, compare_fields
 
 from conftest import flag_count, make_dataset
 
@@ -255,7 +255,7 @@ def test_filter_and_refine_is_bit_exact(kind, seed, d, k, extra_rows, budget, co
 
 
 def loop_matches(source, followup):
-    """The linear-scan matching compare_outliers used before its dict lookup."""
+    """The linear-scan matching compare_fields used before its dict lookup."""
     matches = []
     if source.feature_names == followup.feature_names:
         free = list(followup.report.indices)
@@ -285,20 +285,20 @@ class TestOutlierMatching:
             flag_f = sorted(rng.choice(len(raw_f), int(rng.integers(0, len(raw_f))), replace=False))
             s, f = outlier_summary(raw_s, flag_s), outlier_summary(raw_f, flag_f)
             expected = loop_matches(s, f)
-            diag = compare_outliers(s, f)
+            diag = compare_fields(s, f)
             assert diag["identical_pairs"] == expected
             assert diag["surviving_source"] == len(flag_s) - len(expected)
 
     def test_signed_zero_and_duplicates(self):
         s = outlier_summary([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0]], [0, 1, 2])
         f = outlier_summary([[2.0, 2.0], [-0.0, 1.0], [5.0, 5.0], [0.0, 1.0]], [0, 1, 2, 3])
-        diag = compare_outliers(s, f)
+        diag = compare_fields(s, f)
         assert diag["identical_pairs"] == [[0, 1], [1, 3], [2, 0]] == loop_matches(s, f)
 
     def test_different_features_never_match(self):
         s = outlier_summary([[1.0, 1.0]], [0])
         f = outlier_summary([[1.0, 1.0]], [0], names=("a", "c"))
-        assert compare_outliers(s, f)["identical_pairs"] == loop_matches(s, f) == []
+        assert compare_fields(s, f)["identical_pairs"] == loop_matches(s, f) == []
 
 
 class TestAnomalyDiversity:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -112,6 +113,17 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _finite(text: str) -> float:
+    """The type of a float option that is copied into the output: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:   # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _write_json(*outputs: tuple[str, dict]) -> None:
@@ -504,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-covered", type=int, default=m.min_covered)
     p.add_argument("--max-conditions", type=int, default=m.max_conditions)
     p.add_argument("--knn-k", type=int, default=m.knn_k)
-    p.add_argument("--contamination", type=float, default=m.contamination)
+    p.add_argument("--contamination", type=_finite, default=m.contamination)
     p.add_argument("--kmeans-k", type=int, default=m.kmeans_k)
     p.add_argument("--kmeans-max-iters", type=int, default=m.kmeans_max_iters)
     p.add_argument("--no-standardize", action="store_false", dest="standardize",

@@ -7,19 +7,24 @@ immutable after construction and validated once, a whole column at a time.
 Readers build the columns and writers format them: a column's cells are
 the ``repr`` of a float, the value text of a nominal code, or ``?`` when
 missing.  Every input file is read through ``inputs.input_lines``: as
-UTF-8, with a leading byte-order mark skipped.  Every CSV input goes
-through one record reader, ``inputs.csv_records``, fed by it.
+UTF-8, with a leading byte-order mark skipped.  A CSV input's header record
+comes from ``inputs.csv_records``; the lines after it are split by numpy's C
+reader a run at a time while no ``"`` can quote a field, and by
+``csv_records`` wherever the C reader rejects a run, and from the first
+``"`` on, so that the records are csv.reader's and so is every error (see
+``_csv_blocks``).
 
-Both readers stream their rows into one column builder, ``BLOCK_ROWS``
-records at a time.  A column fills a float64 buffer while its cells parse
-as numbers, or dictionary-encodes them into an int64 buffer of codes, and
-numpy takes the finished buffers without a copy.  So ``load_csv`` holds its
-columns plus one block of records, never every cell as a string, and
-infers kinds by the rules it always had (see its docstring).  A CSV column
-that has parsed as numbers and meets a non-number in a later block turns
-nominal; its earlier texts come back from a second read of the file, by
-path, for that column alone.  An input that cannot be read twice, such as
-a pipe, keeps each numeric column's texts (one string per block) instead.
+The CSV and ARFF readers stream their rows into one column builder,
+``BLOCK_ROWS`` lines or records at a time.  A column fills a float64
+buffer while its cells parse as numbers, or dictionary-encodes them into an
+int64 buffer of codes, and numpy takes the finished buffers without a copy.
+So ``load_csv`` holds its columns plus one block of lines, never every cell
+as a string, and infers kinds by the rules it always had (see its
+docstring).  A CSV column that has parsed as numbers and meets a non-number
+in a later block turns nominal; its earlier texts come back from a second
+read of the file, by path, for that column alone.  An input that cannot be
+read twice, such as a pipe, keeps each numeric column's texts (one string
+per block) instead.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import re
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +45,7 @@ from .errors import ApplicabilityError, InputError
 from .inputs import csv_records, input_lines
 
 MISSING_TOKENS = ("", "?")
-BLOCK_ROWS = 1024   # records a reader parses at a time, like anomaly.BLOCK_ELEMENTS
+BLOCK_ROWS = 1024   # lines or records a reader parses at a time, like anomaly.BLOCK_ELEMENTS
 
 
 def parse_number(text: str) -> float | None:
@@ -282,13 +287,15 @@ def load_csv(
     (first-appearance order) as its value-set.  Without a header row,
     columns are named ``c0``, ``c1``, ...
 
-    The file is parsed ``BLOCK_ROWS`` records at a time into typed columns,
-    so the load holds the columns and one block of records.  A column that
-    turns nominal after its first block reads its earlier texts again from
-    *path*; an input that is no regular file, such as a pipe, cannot be read
-    twice and keeps its numeric columns' texts while it streams.
+    The file is parsed ``BLOCK_ROWS`` lines at a time into typed columns,
+    so the load holds the columns and one block of lines (see
+    ``_csv_blocks``).  A column that turns nominal after its first block
+    reads its earlier texts again from *path*; an input that is no regular
+    file, such as a pipe, cannot be read twice and keeps its numeric
+    columns' texts while it streams.
     """
-    records = csv_records(path)
+    lines = input_lines(path)
+    records = csv_records(path, lines)
     first_line, first = next(records, (0, None))
     if first is None:
         raise InputError(f"{path}: empty file")
@@ -303,15 +310,24 @@ def load_csv(
     columns = [_Column(MISSING_TOKENS, numeric=j != class_index) for j in range(n_cols)]
     # kept[j]: column j's texts while it is numeric, one string per block
     kept = None if os.path.isfile(path) else [[] for _ in range(n_cols)]
+    # floats[j]: column j is numeric and has met no missing token, and the
+    # file can be read twice, so its next block may come parsed as float64
+    floats = [kept is None and column.codes is None for column in columns]
 
-    def add_block(block: list[list[str]]) -> None:
-        for j, (column, cells) in enumerate(zip(columns, zip(*block))):
+    def add_block(fields: Sequence[Sequence[str] | np.ndarray]) -> None:
+        for j, (column, cells) in enumerate(zip(columns, fields)):
+            if isinstance(cells, np.ndarray):   # float64, finite: see _csv_blocks
+                column.numbers.frombytes(cells.tobytes())
+                continue
             texts = list(map(str.strip, cells))
             if column.codes is None:
                 if column.add_numbers(texts):
                     if kept is not None:
                         kept[j].append("\n".join(texts))
+                    elif any(token in texts for token in column.missing):
+                        floats[j] = False
                     continue
+                floats[j] = False
                 if kept is None:
                     column.to_nominal(_reread_texts(path, header, j, column.numbers))
                 else:
@@ -320,6 +336,13 @@ def load_csv(
                     kept[j] = []
             column.add_codes(texts)
 
+    if any("\n" in cell or "\r" in cell for cell in first):
+        # a quoted line break: the first record spans lines, and csv.reader goes on
+        blocks = _record_blocks(records)
+    else:
+        blocks = _csv_blocks(path, lines, first_line + 1, floats)
+    if not header:
+        blocks = chain([([(first_line, first)], None)], blocks)
     # the errors wait until the stream is drained: an unreadable line anywhere wins
     try:
         if header:
@@ -329,19 +352,17 @@ def load_csv(
                 )
             if len(set(names)) != len(names):
                 raise InputError(f"{path}: duplicate column names in header")
-        block = [] if header else [first]
-        for line, record in records:
-            if len(record) != n_cols:
-                raise InputError(
-                    f"{path}: line {line}: expected {n_cols} fields, got {len(record)}"
-                )
-            block.append(record)
-            if len(block) >= BLOCK_ROWS:
-                add_block(block)
-                block = []
-        add_block(block)
+        for block, fields in blocks:
+            if block is not None:
+                for line, record in block:
+                    if len(record) != n_cols:
+                        raise InputError(
+                            f"{path}: line {line}: expected {n_cols} fields, got {len(record)}"
+                        )
+                fields = list(zip(*(record for _, record in block)))
+            add_block(fields)
     except InputError:
-        for _ in records:
+        for _ in blocks:
             pass
         raise
     if class_error is not None:
@@ -355,6 +376,70 @@ def load_csv(
             column.numbers, column.codes = array("d", [math.nan]) * len(column.codes), None
         attributes.append(Attribute(name, values if column.codes is not None else None))
     return Dataset(path, tuple(attributes), tuple(c.finish() for c in columns), class_index)
+
+
+def _record_blocks(records: Iterator[tuple[int, list[str]]]) -> Iterator[tuple]:
+    """*records*, ``BLOCK_ROWS`` at a time, as blocks of ``_csv_blocks``."""
+    while block := list(islice(records, BLOCK_ROWS)):
+        yield block, None
+
+
+def _csv_blocks(path: str, lines: Iterator[str], line: int, floats: list[bool]) -> Iterator[tuple]:
+    """The records of the CSV *lines*, which start at file line *line*,
+    ``BLOCK_ROWS`` lines at a time.
+
+    A block is (records, None), the (line, record) pairs of ``csv_records``,
+    their field counts unchecked, or (None, fields): one finite float64 array
+    or one list of cell texts per column, from ``_c_fields``.  A run of lines
+    goes to csv.reader when it holds a NUL or a line over the csv field
+    limit, or when the C reader rejects it, so that every error keeps its
+    text and line; from the first ``"`` on, as a quoted field may span
+    lines, so does the rest of the file.
+    """
+    limit = csv.field_size_limit()
+    while run := list(islice(lines, BLOCK_ROWS)):
+        text = "".join(run)
+        if '"' in text:
+            yield from _record_blocks(csv_records(path, chain(run, lines), line))
+            return
+        rows = len(run) - sum(map(run.count, ("\n", "\r\n", "\r")))   # the non-blank lines
+        fields = None
+        if rows and "\0" not in text and max(map(len, run)) <= limit:
+            fields = _c_fields(run, rows, floats)
+        if fields is not None:
+            yield None, fields
+        elif rows:
+            yield from _record_blocks(csv_records(path, run, line))
+        line += len(run)
+
+
+def _c_fields(run: list[str], rows: int, floats: list[bool]) -> list | None:
+    """The fields of a quote-free *run* of lines, *rows* of them non-blank, as
+    numpy's C reader splits them, or None if it rejects them.
+
+    Without quotes, the C reader and csv.reader split a line at every comma.
+    A column that *floats* allows gets a float64 array if every such column's
+    cells are finite numbers: numpy refuses the texts that ``float()`` reads
+    only after rewriting them (``1_0``, ``١``), so the array holds the bits
+    of ``float()`` of each stripped text.  Otherwise every column gets its
+    cell texts.
+    """
+    attempts = [[np.float64 if f else object for f in floats]]
+    if any(floats):
+        attempts.append([object] * len(floats))
+    for kinds in attempts:
+        dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+        try:
+            table = np.loadtxt(run, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            continue
+        if len(table) != rows:   # what csv.reader reads as a record, numpy did not
+            continue
+        fields = [table[name] if kind is np.float64 else table[name].tolist()
+                  for name, kind in zip(dtype.names, kinds)]
+        if all(np.isfinite(f).all() for f, kind in zip(fields, kinds) if kind is np.float64):
+            return fields
+    return None
 
 
 def _reread_texts(path: str, header: bool, j: int, numbers: array) -> Iterator[list[str]]:

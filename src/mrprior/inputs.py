@@ -10,7 +10,7 @@ module and not the dataset layer.
 from __future__ import annotations
 
 import csv
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
@@ -28,19 +28,22 @@ def input_lines(path: str, what: str = "") -> Iterator[str]:
         raise InputError(f"cannot read {what}{path}: {exc}") from exc
 
 
-def csv_records(path: str) -> Iterator[tuple[int, list[str]]]:
+def csv_records(
+    path: str, lines: Iterable[str] | None = None, start: int = 1
+) -> Iterator[tuple[int, list[str]]]:
     """The non-blank records of a CSV file, each with the file line it starts on.
 
-    A file that cannot be read (see ``input_lines``) or parsed as CSV raises
-    InputError.
+    *lines*, when given, are read in place of the file: its lines from line
+    *start* on.  A file that cannot be read (see ``input_lines``) or parsed
+    as CSV raises InputError.
     """
-    reader = csv.reader(input_lines(path))
-    start = 1   # the file line the next record starts on
+    reader = csv.reader(input_lines(path) if lines is None else lines)
+    first = start   # the file line the next record starts on
     try:
         for record in reader:
             if record:   # a blank line is no record
-                yield start, record
-            start = reader.line_num + 1
+                yield first, record
+            first = start + reader.line_num
     except csv.Error as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 

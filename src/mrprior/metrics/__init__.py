@@ -15,7 +15,9 @@ count, the k-means total or the distribution total.  Shared rules and
 matched outliers leave both sides alike, so they do not change the raw.  A
 follow-up's ``summarize`` gets the source summary: ``anomaly`` and
 ``clustering`` reuse its kernel result when the two numeric views, rows in
-``dataset.canonical_order``, are bit-equal.  The diagnostics, built only
+``dataset.canonical_order``, are bit-equal, and ``distribution`` reuses an
+attribute's statistics when its sorted cells are bit-equal to the
+same-named source attribute's.  The diagnostics, built only
 when they are wanted, hold each side's export, as ``"source"`` and
 ``"followup"``, and the compare's fields: those of the module's
 ``compare_fields`` (``rule``'s and ``anomaly``'s), or else the two totals.

@@ -66,6 +66,26 @@ def _sq_distances(cols: np.ndarray, centroids: np.ndarray, buf: np.ndarray) -> n
     return out[:, 0].T
 
 
+def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid and its squared distance to it, from the
+    (n, k) distances ``_sq_distances`` gives: the first of equal distances
+    wins, as in ``d2.argmin(axis=1)``.
+
+    No distance is NaN when k > 1, which ``argmin`` would take for the
+    least: a NaN centroid needs a sum of cells that overflows to both
+    infinities, and cells that far apart overflow the k-means++ seeding's
+    squared distances first.
+    """
+    rows = d2.T   # one contiguous row per centroid
+    assignment = np.zeros(len(d2), dtype=np.intp)
+    nearest = rows[0].copy()
+    for c in range(1, len(rows)):
+        closer = rows[c] < nearest
+        np.copyto(assignment, c, where=closer)
+        np.copyto(nearest, rows[c], where=closer)
+    return assignment, nearest
+
+
 def _seed_centroids(
     points: np.ndarray, k: int, rng: np.random.Generator, cols: np.ndarray, buf: np.ndarray
 ) -> np.ndarray:
@@ -113,9 +133,8 @@ def kmeans_summary(
     iters = 0
     for _ in range(max_iters):
         iters += 1
-        d2 = _sq_distances(cols, centroids, buf)
-        new_assignment = d2.argmin(axis=1)
-        trace.append(float(d2[np.arange(n), new_assignment].sum()))
+        new_assignment, nearest = _nearest(_sq_distances(cols, centroids, buf))
+        trace.append(float(nearest.sum()))
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -124,7 +143,8 @@ def kmeans_summary(
         for c in range(k):
             members = assignment == c
             if members.any():
-                centroids[c] = np.ascontiguousarray(cols[:, members]).mean(axis=1)
+                # the members' (d, m) columns, contiguous, as cols[:, members] makes them
+                centroids[c] = np.compress(members, cols, axis=1).mean(axis=1)
         for c in range(k):
             if (assignment == c).any():
                 continue
@@ -135,8 +155,7 @@ def kmeans_summary(
             centroids[c] = points[far]
             used[far] = True
 
-    d2 = _sq_distances(cols, centroids, buf)
-    assignment = d2.argmin(axis=1)
+    assignment, nearest = _nearest(_sq_distances(cols, centroids, buf))
     sizes = np.bincount(assignment, minlength=k)
     if int(sizes.sum()) != n:
         raise InvariantError("cluster sizes do not add up to the row count")
@@ -150,7 +169,7 @@ def kmeans_summary(
     between_total = 0.0
     for distance in np.sqrt(squares[:, 0]).tolist():
         between_total += distance
-    within_avg = float(np.sqrt(d2[np.arange(n), assignment]).mean())
+    within_avg = float(np.sqrt(nearest).mean())
     # k = 1 draws no seed, and a Lloyd step can leave the seeding's range:
     # an overflowed squared distance shows up in one of the two totals
     if not (np.isfinite(between_total) and np.isfinite(within_avg)):

@@ -764,7 +764,7 @@ def test_out_of_range_number_exits_2_and_writes_nothing(config_workspace, monkey
 @pytest.mark.parametrize(
     "metric, flag, value, message",
     [
-        ("anomaly", "--contamination", "nan", "contamination must be in (0, 1), got nan"),
+        ("anomaly", "--contamination", "0", "contamination must be in (0, 1), got 0.0"),
         ("anomaly", "--knn-k", "0", "k must be >= 1, got 0"),
         ("clustering", "--kmeans-k", "0", "k must be >= 1, got 0"),
         ("clustering", "--kmeans-max-iters", "0", "max_iters must be >= 1, got 0"),
@@ -782,6 +782,30 @@ def test_bad_metric_parameter_exits_2_once(config_workspace, monkeypatch, capsys
                "--catalog", ws["catalog"], "--metric", metric, flag, value, "--out", "r.json"])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (ws["dir"] / "r.json").exists()
+
+
+@pytest.mark.parametrize("metric", ["rule", "anomaly", "clustering", "distribution"])
+@pytest.mark.parametrize("value, config_text, shown", [
+    ("nan", "NaN", "nan"), ("inf", "Infinity", "inf"), ("1e400", "1e400", "inf"),
+])
+def test_a_contamination_that_is_no_finite_number_exits_2(config_workspace, monkeypatch, capsys,
+                                                          metric, value, config_text, shown):
+    # every metric copies --contamination into its output header, which holds no NaN
+    ws = config_workspace
+    monkeypatch.chdir(ws["dir"])
+    argv = ["prioritize", "--dataset", ws["labelled"], "--class-column", "c",
+            "--catalog", ws["catalog"], "--metric", metric, "--out", "r.json"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--contamination", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument --contamination: must be a finite number, got {value!r}\n")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    config = write(ws["dir"] / "cfg.json", '{"contamination": %s}' % config_text)
+    assert main([*argv, "--config", config]) == 2
+    assert capsys.readouterr().err == (f"error: config {config}: argument --contamination: "
+                                       f"must be a finite number, got {shown!r}\n")
     assert not (ws["dir"] / "r.json").exists()
 
 

@@ -7,14 +7,20 @@ and class index, or raise the same InputError text, for every CSV.  The
 tests set ``BLOCK_ROWS`` to 2 or 3, so that columns turn nominal across a
 block boundary, and read some files through a FIFO, which cannot be read a
 second time.
+
+``load_csv`` splits the runs of lines that hold no ``"`` with numpy's C
+reader; the last tests check that it splits them as csv.reader does and
+that every number it parses has the bits ``float()`` gives.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -89,9 +95,13 @@ def oracle_numeric_column(texts):
     return numbers
 
 
-NUMBERS = ["1", "1.0", "-2.5", " 1.5 ", "1_0", "1e3", "-0", "0.1", "+7", "3", '"4.25"']
+# with tokens that numpy's C reader and float() might read apart: float()
+# takes "_", Unicode digits and whitespace, which numpy refuses or skips
+NUMBERS = ["1", "1.0", "-2.5", " 1.5 ", "1_0", "1e3", "-0", "0.1", "+7", "3", '"4.25"',
+           "١٢", "\x1c1", "\xa01.5", "1.5 ", "+.5", "5.", "1E+3"]
 MISSING = ["", "?", " ? ", "  "]
-NOT_NUMBERS = ["nan", "inf", "-inf", "1e999", "a", " b ", "1 2", "x,y", 'q"t', "two\nlines"]
+NOT_NUMBERS = ["nan", "inf", "-inf", "1e999", "a", " b ", "1 2", "x,y", 'q"t', "two\nlines",
+               "0x10"]
 
 
 @st.composite
@@ -143,7 +153,7 @@ def csv_files(draw):
     lines = ([",".join(names)] if header else []) + [",".join(map(_field, r)) for r in rows]
     for _ in range(draw(st.integers(0, 2))):   # blank lines
         lines.insert(draw(st.integers(0, len(lines))), "")
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
     data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
     class_column = draw(st.sampled_from(
@@ -231,13 +241,119 @@ def test_a_file_changed_between_reads_is_an_error(tmp_path, monkeypatch):
     path.write_text("x\n1\n2\n3\nlate\n")
     reads = []
 
-    def records(p):
+    def records(p, *lines):   # the first read passes its lines, the second reads the file
         reads.append(p)
         if len(reads) == 2:
             path.write_text("x\n1\n5\n3\nlate\n")
-        return csv_records(p)
+        return csv_records(p, *lines)
 
     monkeypatch.setattr(dataset, "csv_records", records)
     with pytest.raises(InputError) as exc:
         load_csv(str(path))
     assert str(exc.value) == f"{path}: changed while it was read"
+
+
+def loaded_alike(tmp_path, text, **kwargs):
+    """load_csv's outcome for *text*, once asserted equal to the oracle's."""
+    path = str(tmp_path / "data.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    got = outcome(path, "data.csv", load_csv, **kwargs)
+    assert got == outcome(path, "data.csv", oracle_load_csv, **kwargs)
+    return got
+
+
+@pytest.mark.parametrize("text", ["x,y\n1,a\0b\n2,c\n", "x\n1\n2\0\n3\n", "x\n1\n\0\n"])
+def test_a_nul_cell_is_read_as_csv_reader_reads_it(tmp_path, monkeypatch, text):
+    # csv.reader refuses a NUL before Python 3.11 and keeps it as text since
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", 2)
+    loaded_alike(tmp_path, text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x,y\n" + "1,2\n" * 5 + "3,%s\n" % ("4" * 20), True),
+    ("x,y\n" + "1,2\n" * 5 + "3,4\n" + "5,6,7\n" + "7,%s\n" % ("8" * 20), True),
+    ("x\n" + "?" * 20 + "\n1\n", True),
+    ("a0,a1,a2,a3,a4\n" + "1.25,2.5,3.75,4.0,5.5\n" * 5, False),
+], ids=["late", "after-a-ragged-line", "first-run", "long-line-short-fields"])
+def test_a_field_over_the_csv_limit_is_the_error(tmp_path, monkeypatch, text, error):
+    # a line longer than the limit goes to csv.reader, which judges its fields
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", 3)
+    limit = csv.field_size_limit(16)
+    try:
+        got = loaded_alike(tmp_path, text)
+    finally:
+        csv.field_size_limit(limit)
+    if error:
+        assert got == "cannot read data.csv: field larger than field limit (16)"
+    else:
+        assert all(a.is_numeric for a in got[1])
+
+
+# pieces of number-like tokens: digits, signs, exponents, Unicode digits and
+# Unicode whitespace, the words numpy and float() read as non-finite
+TOKEN_PIECES = ["0", "1", "7", "9", ".", "e", "E", "+", "-", "_", "x", "١", "٣", "０",
+                " ", "\t", "\xa0", "\x1c", "\x85", "\u3000", "\x0b", "\x0c",
+                "inf", "nan", "infinity", "1e308", "1e309", "5e-324", "0x"]
+TOKENS = st.one_of(
+    st.lists(st.sampled_from(TOKEN_PIECES), min_size=1, max_size=6).map("".join),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@settings(max_examples=2000, **COMMON)
+@given(token=TOKENS)
+def test_a_number_the_c_reader_takes_has_the_bits_float_gives(token):
+    fields = dataset._c_fields([token + "\n"], 1, [True])
+    (record,) = csv.reader([token + "\n"])
+    if isinstance(fields[0], np.ndarray):
+        value = parse_number(token.strip())
+        assert value is not None
+        assert fields[0].tobytes() == np.float64(value).tobytes()
+    else:   # as text, the cell is csv.reader's
+        assert fields == [record]
+
+
+@st.composite
+def quote_free_runs(draw):
+    """(lines of a quote-free CSV run, which columns may parse as float64)."""
+    n_cols = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from(NUMBERS + MISSING + NOT_NUMBERS),
+                     TOKENS).filter(lambda t: not any(c in t for c in ',"\n'))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            text = ""
+        elif kind == "spaces":
+            text = draw(st.sampled_from([" ", "  ", "\t", "\xa0"]))
+        else:
+            width = n_cols + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            text = ",".join(draw(cell) for _ in range(max(width, 1)))
+        lines.append(text + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if draw(st.booleans()):   # the file's last line may end without a line end
+        lines[-1] = lines[-1].rstrip("\r\n") or "9"
+    return lines, draw(st.lists(st.booleans(), min_size=n_cols, max_size=n_cols))
+
+
+@settings(max_examples=1500, **COMMON)
+@given(case=quote_free_runs())
+def test_the_c_reader_splits_a_quote_free_run_as_csv_reader_does(case):
+    run, floats = case
+    records = [record for record in csv.reader(run) if record]
+    rows = len(run) - sum(map(run.count, ("\n", "\r\n", "\r")))
+    assert rows == len(records)
+    if not rows:   # the reader leaves a run of blank lines alone
+        return
+    fields = dataset._c_fields(run, rows, floats)
+    if fields is None:
+        return
+    assert len(fields) == len(floats) and all(len(r) == len(floats) for r in records)
+    for j, cells in enumerate(fields):
+        texts = [record[j] for record in records]
+        if isinstance(cells, np.ndarray):
+            assert floats[j]
+            numbers = [parse_number(t.strip()) for t in texts]
+            assert None not in numbers and cells.tobytes() == np.array(numbers).tobytes()
+        else:
+            assert cells == texts

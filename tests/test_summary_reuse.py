@@ -1,11 +1,15 @@
 """A follow-up whose sorted numeric view is bit-equal to the source's reuses
-the source's kNN scores or k-means summary; the outputs must not change.
+the source's kNN scores or k-means summary, and a follow-up attribute whose
+sorted cells are bit-equal to the same-named source attribute's reuses its
+distribution statistics; the outputs must not change.
 
-``anomaly.summarize`` and ``clustering.summarize`` take the source summary
-as their third argument.  Each test here compares that path with a
-recompute (the same call without the source summary), bit for bit, and
-counts which follow-ups still run the kernel.  A run without diagnostics
-runs the kNN only on a side whose squared distances could overflow.
+``anomaly.summarize``, ``clustering.summarize`` and
+``distribution.summarize`` take the source summary as their third argument.
+Each test here compares that path with a recompute (the same call without
+the source summary), bit for bit, and counts which follow-ups (or, for
+``distribution``, which attributes) still run the kernel.  A run without
+diagnostics runs the kNN only on a side whose squared distances could
+overflow.
 """
 
 import json
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from mrprior import MetricParams, MrSpec, apply_mr, build_pairs, score_catalog
 from mrprior.cli import main
-from mrprior.metrics import anomaly, clustering
+from mrprior.metrics import anomaly, clustering, distribution
 
 from conftest import make_dataset
 
@@ -58,6 +62,10 @@ def clustering_bits(summary):
     return json.dumps(summary.to_dict()), summary.centroids.tobytes()
 
 
+def distribution_bits(summary):
+    return json.dumps(summary.to_dict()), [cells.tobytes() for cells in summary.cells]
+
+
 def score_bits(score):
     return score.mr_id, score.raw, json.dumps(score.diagnostics)
 
@@ -93,7 +101,8 @@ def test_reuse_equals_recompute(seed, n_rows, n_numeric, ties, missing, standard
     # a real permutation of the non-class attributes: reversed, so never the identity
     perm = ",".join(map(str, reversed(range(n_numeric + 1))))
     mrs = {**SAME_ROWS, "permute": MrSpec("P", "perm", "permute_attributes", {"perm": perm})}
-    summary = {module: module.summarize(source, params) for module in (anomaly, clustering)}
+    summary = {module: module.summarize(source, params)
+               for module in (anomaly, clustering, distribution)}
     for kind, mr in mrs.items():
         followup = apply_mr(mr, source)
         # the reuse path, then the kernel on its own
@@ -106,6 +115,11 @@ def test_reuse_equals_recompute(seed, n_rows, n_numeric, ties, missing, standard
             assert reused is summary[clustering], kind
             assert anomaly.same_bits(anomaly.summarize(followup, params).rows,
                                      summary[anomaly].rows), kind
+        stats = distribution.summarize(followup, params, summary[distribution])
+        fresh = distribution.summarize(followup, params)
+        assert distribution_bits(stats) == distribution_bits(fresh), kind
+        if kind != "scale":   # each attribute takes the source's statistics
+            assert stats.attributes == summary[distribution].attributes, kind
 
 
 @pytest.mark.parametrize("standardize, kernel_calls", [(True, 3), (False, 4)])
@@ -137,6 +151,35 @@ def test_which_followups_run_the_kernel(monkeypatch, standardize, kernel_calls):
         assert list(map(score_bits, scores)) == list(map(score_bits, recomputed)), metric
 
 
+def test_which_attributes_distribution_recomputes(monkeypatch):
+    rng = np.random.default_rng(41)
+    source = make_dataset({
+        "b": list(rng.normal(0.0, 1.0, 60)), "a": list(rng.normal(5.0, 2.0, 60)),
+        "c": list(rng.normal(-3.0, 0.5, 60)), "cls": ["p", "q", "r"] * 20,
+    }, class_name="cls")
+    catalog = [
+        MrSpec("M1", "ident", "identity"),
+        MrSpec("M2", "shuffle", "permute_instances", seed=2),
+        MrSpec("M3", "relabel", "relabel_classes", {"map": "p:q,q:r,r:p"}),
+        MrSpec("M4", "perm", "permute_attributes", {"perm": "2,0,1"}),
+        MrSpec("M5", "shift a", "affine_numeric", {"shift": "7", "columns": "a"}),
+        MrSpec("M6", "scale", "affine_numeric", {"scale": "2"}),
+        MrSpec("M7", "constant", "add_uninformative_attribute", {"value": "1"}),
+        MrSpec("M8", "add", "add_data_points", {"count": "5"}, seed=3),
+    ]
+    calls = counting(monkeypatch, distribution, "_column_stats")
+    scores = score_catalog(build_pairs(catalog, source), "distribution")
+    # the source's 3; a for the shift, all 3 for the scale and the added
+    # points, and the new attribute alone for the constant
+    assert len(calls) == 3 + 1 + 3 + 1 + 3
+    with monkeypatch.context() as patch:
+        patch.setattr(distribution, "same_bits", lambda a, b: False)
+        recomputed = score_catalog(build_pairs(catalog, source), "distribution")
+    assert len(calls) == 11 + 3 + 3 * 7 + 4   # M7 has four attributes
+    assert list(map(score_bits, scores)) == list(map(score_bits, recomputed))
+    assert [s.raw for s in scores][:4] == [0.0] * 4
+
+
 @pytest.mark.parametrize("standardize", [True, False])
 @pytest.mark.parametrize("change", ["negative zero", "one ulp"])
 def test_a_changed_bit_runs_the_kernel(monkeypatch, standardize, change):
@@ -151,8 +194,10 @@ def test_a_changed_bit_runs_the_kernel(monkeypatch, standardize, change):
         columns["x"] = columns["x"][:-1] + [math.nextafter(columns["x"][-1], math.inf)]
     followup = make_dataset(columns, class_name="cls")
     params = MetricParams(standardize=standardize)
+    # distribution recomputes the one attribute of the changed cell
     for module, kernel, bits in ((anomaly, "knn_outliers", anomaly_bits),
-                                 (clustering, "kmeans_summary", clustering_bits)):
+                                 (clustering, "kmeans_summary", clustering_bits),
+                                 (distribution, "_column_stats", distribution_bits)):
         summary = module.summarize(source, params)
         calls = counting(monkeypatch, module, kernel)
         reused = module.summarize(followup, params, summary)
